@@ -401,23 +401,6 @@ func BenchmarkCoalescedRun(b *testing.B) {
 	rawRun(b, func(cfg *memsys.Config) { cfg.NoCoalesce = false })
 }
 
-// BenchmarkParallelRun adds the persistent per-channel worker engine on
-// top of coalescing: one goroutine per channel fed with reusable op
-// batches. On a single-CPU host the config's GOMAXPROCS guard routes
-// this to the serial path (goroutine handoffs cannot win without a
-// second core), so the benchmark measures what production Parallel
-// actually executes on the host.
-func BenchmarkParallelRun(b *testing.B) {
-	rawRun(b, func(cfg *memsys.Config) { cfg.Parallel = true })
-}
-
-// BenchmarkParallelEngineRun pins the worker engine itself (ForceParallel
-// bypasses the GOMAXPROCS guard): the cross-Run batch reuse keeps its
-// steady-state allocations at the coalesced path's level.
-func BenchmarkParallelEngineRun(b *testing.B) {
-	rawRun(b, func(cfg *memsys.Config) { cfg.Parallel = true; cfg.ForceParallel = true })
-}
-
 // probeBenchRun drives one saturated 4 MiB stream through a 4-channel
 // system with the given per-channel sink factory and returns bursts/sec
 // via the benchmark's byte counter.

@@ -4,9 +4,10 @@
 # disabled observability path stays within PROBE_OVERHEAD_MAX_PCT
 # (default 2%) of the uninstrumented channel throughput, a fuzz smoke
 # pass over the parser/decoder fuzz targets, the fault determinism
-# gate diffing serial-vs-parallel QoS reports byte for byte, the
+# gate diffing the QoS reports of two identical runs byte for byte, the
 # protocol-checker soak (randomized configs replayed under the timing
-# invariant checker and the three-way differential oracle, -race on,
+# invariant checker and the per-burst vs coalesced differential oracle,
+# -race on,
 # seed counts bounded by CHECK_SOAK_CONFIGS / CHECK_ORACLE_CONFIGS),
 # the policy x device matrix gate (every registered scheduling policy
 # on every registered datasheet through the checked differential
@@ -68,8 +69,8 @@ go test -race ./...
 
 echo "== protocol checker soak =="
 # Randomized workloads replayed with the timing-invariant checker
-# attached, plus the three-way differential oracle (per-burst reference
-# vs coalesced vs parallel engine command streams), both under -race.
+# attached, plus the differential oracle (per-burst reference vs
+# coalesced command streams), both under -race.
 # -count=1 forces a fresh run even when the package test cache is warm;
 # the seed counts are bounded so CI time stays predictable.
 CHECK_SOAK_CONFIGS="${CHECK_SOAK_CONFIGS:-40}" \
@@ -81,7 +82,7 @@ echo "== policy x device matrix gate =="
 # The admissibility contract for scheduling policies and datasheets:
 # every registered policy on every registered device must run a mixed
 # multi-client workload with the timing-invariant checker silent AND
-# replay it bit-identically through all four dispatch strategies of the
+# replay it bit-identically through both dispatch strategies of the
 # differential oracle (coalesce-unsafe policies proving their fast-path
 # fallback). Workload size scales with CHECK_MATRIX_REQS.
 CHECK_MATRIX_REQS="${CHECK_MATRIX_REQS:-200}" \
@@ -105,19 +106,19 @@ go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime "${FUZZ_SMOKE_TIME:-5s}" ./inte
 go test -run '^$' -fuzz '^FuzzDecodeSimulateRequest$' -fuzztime "${FUZZ_SMOKE_TIME:-5s}" ./internal/server/
 
 echo "== fault determinism gate =="
-# The flagship fault scenario must produce a byte-identical QoS report
-# whether the channels simulate serially or on parallel goroutines.
+# The flagship fault scenario, run twice with the same seed in two
+# processes, must produce byte-identical QoS reports.
 qos_dir=$(mktemp -d)
 trap 'rm -rf "$qos_dir"' EXIT
 fault_flags="-format 1080p30 -channels 2 -fraction 0.02 -fault-seed 1 \
     -fault-drop-channel 1 -fault-read-error-rate 0.005 -fault-stall-rate 0.002 \
     -fault-frames 10"
 # shellcheck disable=SC2086
-go run ./cmd/mcmsim $fault_flags -serial -qos-out "$qos_dir/serial.txt" >/dev/null
+go run ./cmd/mcmsim $fault_flags -qos-out "$qos_dir/first.txt" >/dev/null
 # shellcheck disable=SC2086
-go run ./cmd/mcmsim $fault_flags -qos-out "$qos_dir/parallel.txt" >/dev/null
-if ! cmp "$qos_dir/serial.txt" "$qos_dir/parallel.txt"; then
-    echo "ci: serial and parallel fault runs produced different QoS reports" >&2
+go run ./cmd/mcmsim $fault_flags -qos-out "$qos_dir/second.txt" >/dev/null
+if ! cmp "$qos_dir/first.txt" "$qos_dir/second.txt"; then
+    echo "ci: two identical fault runs produced different QoS reports" >&2
     exit 1
 fi
 echo "ci: fault determinism OK"
@@ -595,7 +596,7 @@ while [ -e "$bench_json" ]; do
     bench_json="$bench_stem-$n.json"
 done
 raw_out=$(go test -run '^$' \
-    -bench 'BenchmarkRawChannel$|BenchmarkPerBurstRun$|BenchmarkCoalescedRun$|BenchmarkParallelRun$|BenchmarkParallelEngineRun$|BenchmarkSimulate$|BenchmarkSimulateCached$|BenchmarkFullFormatMatrix$|BenchmarkFullFormatMatrixCached$|BenchmarkAnalyticResult$|BenchmarkAutoSweep$' \
+    -bench 'BenchmarkRawChannel$|BenchmarkPerBurstRun$|BenchmarkCoalescedRun$|BenchmarkSimulate$|BenchmarkSimulateCached$|BenchmarkFullFormatMatrix$|BenchmarkFullFormatMatrixCached$|BenchmarkAnalyticResult$|BenchmarkAutoSweep$' \
     -benchmem -benchtime "${BENCH_BENCHTIME:-0.5s}" -count "${BENCH_COUNT:-3}" .)
 echo "$raw_out"
 echo "$raw_out" | awk -v date="$(date +%Y-%m-%d)" '
@@ -688,19 +689,4 @@ echo "$raw_out" | awk -v floor="$floor" -v mode="$floor_mode" '
         }
     }'
 
-echo "== parallel-dispatch scaling gate =="
-# Parallel dispatch must never be slower than the coalesced serial path
-# it builds on: on multi-core hosts the engine has to win, and on a
-# single-CPU host the GOMAXPROCS guard routes Parallel to the serial
-# path, so the two are the same code and the same speed. Best-of-N MB/s
-# with a small noise margin (PARALLEL_MIN_RATIO, default 0.97).
-echo "$raw_out" | awk -v min="${PARALLEL_MIN_RATIO:-0.97}" '
-    /^BenchmarkCoalescedRun/ { for (i = 2; i <= NF; i++) if ($i == "MB/s" && $(i-1) > coal) coal = $(i-1) }
-    /^BenchmarkParallelRun/  { for (i = 2; i <= NF; i++) if ($i == "MB/s" && $(i-1) > par)  par  = $(i-1) }
-    END {
-        if (coal == 0 || par == 0) { print "ci: parallel gate missing MB/s"; exit 1 }
-        printf "ci: BenchmarkParallelRun %.0f MB/s vs BenchmarkCoalescedRun %.0f MB/s (%.2fx, min %s)\n",
-            par, coal, par / coal, min
-        if (par < min * coal) { print "ci: parallel dispatch slower than coalesced — scaling regression"; exit 1 }
-    }'
 echo "ci: OK"

@@ -318,7 +318,7 @@ func (c *Controller) wake(arrival int64) int64 {
 	if !c.haveXfer && !c.haveCmd {
 		return earliest
 	}
-	s := c.cfg.Speed
+	s := &c.cfg.Speed
 	idleFrom := max64(c.cmdClock, c.busFreeAt)
 	gap := arrival - idleFrom
 	if gap <= 1 {
@@ -503,7 +503,7 @@ func (c *Controller) Flush() int64 {
 
 // perform executes one burst against the DRAM, no earlier than earliest.
 func (c *Controller) perform(write bool, loc mapping.Location, earliest, arrival int64) int64 {
-	s := c.cfg.Speed
+	s := &c.cfg.Speed
 	attendAt := max64(arrival, max64(c.cmdClock, c.busFreeAt))
 
 	// Thermal derate: once the plan's cycle passes, the refresh interval
@@ -642,7 +642,7 @@ func (c *Controller) perform(write bool, loc mapping.Location, earliest, arrival
 // activate opens row in bank b no earlier than earliest, returning the
 // ACT issue cycle.
 func (c *Controller) activate(b *bankState, bank int32, row int, earliest int64) int64 {
-	s := c.cfg.Speed
+	s := &c.cfg.Speed
 	cand := max64(earliest, b.actReady)
 	if c.haveActs() {
 		cand = max64(cand, c.lastActAt+s.RRD)
@@ -761,7 +761,7 @@ func (c *Controller) accessOne(write bool, loc mapping.Location, arrival int64, 
 // they are applied as bulk state updates, falling back to per-burst Access
 // whenever a refresh would become due mid-streak.
 func (c *Controller) accessRow(write bool, loc mapping.Location, n int, arrival int64, synth bool) int64 {
-	s := c.cfg.Speed
+	s := &c.cfg.Speed
 	end := c.accessOne(write, loc, arrival, synth)
 	remaining := int64(n - 1)
 	b := &c.banks[loc.Bank]

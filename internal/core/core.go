@@ -89,12 +89,6 @@ type MemoryConfig struct {
 	// transient read errors, controller stall jitter — see internal/fault).
 	// Nil keeps every hot path fault-free.
 	Faults *fault.Plan
-	// Serial forces single-goroutine execution even for multi-channel
-	// configurations. The per-channel op order is identical either way
-	// (the bit-identical guarantee), so this is a debugging/CI knob: the
-	// determinism gate runs the same fault scenario serial and parallel
-	// and diffs the QoS reports byte for byte.
-	Serial bool
 }
 
 // PaperMemory returns the paper's baseline configuration at the given
@@ -296,7 +290,6 @@ func (mc MemoryConfig) memsysConfig() memsys.Config {
 		RefreshPostpone:       mc.RefreshPostpone,
 		PrechargeOnIdle:       mc.PrechargeOnIdle,
 		InterleaveGranularity: mc.InterleaveGranularity,
-		Parallel:              mc.Channels > 1 && !mc.Serial,
 		NewProbe:              mc.NewProbe,
 		Faults:                mc.Faults,
 	}

@@ -25,7 +25,7 @@ type coreMeter struct {
 
 	// RunIndexed worker-pool accounting: planned vs completed drive the
 	// -progress ETA; busy/queue-depth gauges and busy time are the data
-	// needed to diagnose parallel-engine scaling.
+	// needed to diagnose worker-pool scaling.
 	indexedPlanned   *metrics.Counter
 	indexedCompleted *metrics.Counter
 	workersBusy      *metrics.Gauge
@@ -87,7 +87,7 @@ var activeMeter atomic.Pointer[coreMeter]
 
 // EnableMetrics installs the run's metrics registry: the simulation layer
 // (Simulate, RunIndexed, the subsystem pool, degraded-mode QoS) and the
-// memsys engine register their instruments in it and start counting.
+// memory subsystem register their instruments in it and start counting.
 // Passing nil disables metrics again. Enable before constructing a
 // SimCache so the cache registers its counters too.
 func EnableMetrics(r *metrics.Registry) {

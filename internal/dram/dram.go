@@ -72,8 +72,8 @@ func (g Geometry) Validate() error {
 	case g.Columns%g.BurstLength != 0:
 		return fmt.Errorf("dram: %d columns not a multiple of burst %d", g.Columns, g.BurstLength)
 	}
-	// Power-of-two dimensions keep address decoding exact.
-	for _, v := range []int{g.Banks, g.Rows, g.Columns} {
+	// Power-of-two dimensions let address decoding use shifts and masks.
+	for _, v := range []int{g.Banks, g.Rows, g.Columns, g.WordBits} {
 		if v&(v-1) != 0 {
 			return fmt.Errorf("dram: dimension %d is not a power of two", v)
 		}

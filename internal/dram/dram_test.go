@@ -44,6 +44,7 @@ func TestGeometryValidate(t *testing.T) {
 		{Banks: 4, Rows: 8192, Columns: 6, WordBits: 32, BurstLength: 4},
 		{Banks: 3, Rows: 8192, Columns: 512, WordBits: 32, BurstLength: 4},
 		{Banks: 4, Rows: 1000, Columns: 512, WordBits: 32, BurstLength: 4},
+		{Banks: 4, Rows: 8192, Columns: 512, WordBits: 24, BurstLength: 4},
 	}
 	for i, g := range bad {
 		if err := g.Validate(); err == nil {

@@ -7,10 +7,11 @@ import (
 )
 
 // FuzzDecode exercises the full address map with arbitrary addresses and
-// interleave shapes. Invariants: decoding is total (no panics, any int64),
-// decoded coordinates stay inside the geometry, word-aligned in-capacity
-// addresses round-trip through Encode, and the channel interleave's
-// Global(Channel, Local) is the identity.
+// interleave shapes. Invariants, on every simulated geometry under RBC and
+// BRC: decoding is total (no panics, any int64), decoded coordinates stay
+// inside the geometry and equal the division-based reference decode, and
+// word-aligned in-capacity addresses round-trip through Encode. The
+// channel interleave's Global(Channel, Local) is the identity.
 func FuzzDecode(f *testing.F) {
 	f.Add(int64(0), 1, int64(16))
 	f.Add(int64(12345678), 4, int64(16))
@@ -29,26 +30,29 @@ func FuzzDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("valid interleave rejected: %v", err)
 		}
-		for _, mux := range []Multiplexing{RBC, BRC} {
-			bm, err := NewBankMapper(g, mux)
-			if err != nil {
-				t.Fatal(err)
-			}
-			loc := bm.Decode(addr) // must not panic for any input
-			if loc.Bank < 0 || loc.Bank >= g.Banks {
-				t.Fatalf("%v: bank %d outside [0,%d)", mux, loc.Bank, g.Banks)
-			}
-			if loc.Row < 0 || loc.Row >= g.Rows {
-				t.Fatalf("%v: row %d outside [0,%d)", mux, loc.Row, g.Rows)
-			}
-			if loc.Column < 0 || loc.Column >= g.Columns {
-				t.Fatalf("%v: column %d outside [0,%d)", mux, loc.Column, g.Columns)
-			}
-			// Word-aligned addresses inside the cluster round-trip exactly.
-			wordBytes := int64(g.WordBits) / 8
-			if addr >= 0 && addr < g.Bytes() && addr%wordBytes == 0 {
-				if back := bm.Encode(loc); back != addr {
-					t.Fatalf("%v: Encode(Decode(%d)) = %d", mux, addr, back)
+		for _, geom := range decodeGeometries() {
+			for _, mux := range []Multiplexing{RBC, BRC} {
+				bm, err := NewBankMapper(geom, mux)
+				if err != nil {
+					t.Fatal(err)
+				}
+				loc := bm.Decode(addr) // must not panic for any input
+				if loc.Bank < 0 || loc.Bank >= geom.Banks {
+					t.Fatalf("%v: bank %d outside [0,%d)", mux, loc.Bank, geom.Banks)
+				}
+				if loc.Row < 0 || loc.Row >= geom.Rows {
+					t.Fatalf("%v: row %d outside [0,%d)", mux, loc.Row, geom.Rows)
+				}
+				if loc.Column < 0 || loc.Column >= geom.Columns {
+					t.Fatalf("%v: column %d outside [0,%d)", mux, loc.Column, geom.Columns)
+				}
+				checkAgainstReference(t, &bm, addr)
+				// Word-aligned addresses inside the cluster round-trip exactly.
+				wordBytes := int64(geom.WordBits) / 8
+				if addr >= 0 && addr < geom.Bytes() && addr%wordBytes == 0 {
+					if back := bm.Encode(loc); back != addr {
+						t.Fatalf("%v: Encode(Decode(%d)) = %d", mux, addr, back)
+					}
 				}
 			}
 		}

@@ -7,6 +7,7 @@ package mapping
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/dram"
 )
@@ -94,9 +95,20 @@ type Location struct {
 }
 
 // BankMapper decodes channel-local byte addresses to DRAM coordinates.
+// Every geometry dimension is a power of two (dram.Geometry.Validate), so
+// NewBankMapper reduces the decode to masks and shifts computed once.
 type BankMapper struct {
 	geom dram.Geometry
 	mux  Multiplexing
+
+	capMask   int64 // cluster bytes - 1
+	colMask   int64 // row bytes - 1
+	wordShift uint  // log2(word bytes)
+	rowShift  uint  // log2(row bytes)
+	// The row-address bits above rowShift split into a low field of
+	// lowShift bits (bank for RBC, row for BRC) and the rest above it.
+	lowMask  int64
+	lowShift uint
 }
 
 // NewBankMapper builds a mapper for the geometry and multiplexing type.
@@ -107,55 +119,52 @@ func NewBankMapper(g dram.Geometry, mux Multiplexing) (BankMapper, error) {
 	if mux != RBC && mux != BRC {
 		return BankMapper{}, fmt.Errorf("mapping: unknown multiplexing %d", int(mux))
 	}
-	return BankMapper{geom: g, mux: mux}, nil
+	low := g.Banks
+	if mux == BRC {
+		low = g.Rows
+	}
+	return BankMapper{
+		geom:      g,
+		mux:       mux,
+		capMask:   g.Bytes() - 1,
+		colMask:   g.RowBytes() - 1,
+		wordShift: log2(int64(g.WordBits) / 8),
+		rowShift:  log2(g.RowBytes()),
+		lowMask:   int64(low) - 1,
+		lowShift:  log2(int64(low)),
+	}, nil
 }
 
+// log2 returns the exponent of a power of two.
+func log2(v int64) uint { return uint(bits.TrailingZeros64(uint64(v))) }
+
 // Geometry returns the device geometry the mapper decodes for.
-func (bm BankMapper) Geometry() dram.Geometry { return bm.geom }
+func (bm *BankMapper) Geometry() dram.Geometry { return bm.geom }
 
 // Multiplexing returns the configured multiplexing type.
-func (bm BankMapper) Multiplexing() Multiplexing { return bm.mux }
+func (bm *BankMapper) Multiplexing() Multiplexing { return bm.mux }
 
 // Decode splits a channel-local byte address into bank, row and column.
 // Addresses wrap modulo the cluster capacity (the load model never exceeds
 // it, but wrapping keeps the mapper total).
-func (bm BankMapper) Decode(local int64) Location {
-	g := bm.geom
-	rowBytes := g.RowBytes()
-	wordBytes := int64(g.WordBits) / 8
-
-	local %= g.Bytes()
-	if local < 0 {
-		local += g.Bytes()
+func (bm *BankMapper) Decode(local int64) Location {
+	local &= bm.capMask
+	col := int((local & bm.colMask) >> bm.wordShift)
+	upper := local >> bm.rowShift
+	lo, hi := int(upper&bm.lowMask), int(upper>>bm.lowShift)
+	if bm.mux == RBC {
+		return Location{Bank: lo, Row: hi, Column: col}
 	}
-	col := int((local % rowBytes) / wordBytes)
-	upper := local / rowBytes
-	switch bm.mux {
-	case RBC:
-		bank := int(upper % int64(g.Banks))
-		row := int(upper / int64(g.Banks))
-		return Location{Bank: bank, Row: row, Column: col}
-	default: // BRC
-		row := int(upper % int64(g.Rows))
-		bank := int(upper / int64(g.Rows))
-		return Location{Bank: bank, Row: row, Column: col}
-	}
+	return Location{Bank: hi, Row: lo, Column: col}
 }
 
 // Encode is the inverse of Decode for word-aligned locations.
-func (bm BankMapper) Encode(loc Location) int64 {
-	g := bm.geom
-	rowBytes := g.RowBytes()
-	wordBytes := int64(g.WordBits) / 8
-
-	var upper int64
-	switch bm.mux {
-	case RBC:
-		upper = int64(loc.Row)*int64(g.Banks) + int64(loc.Bank)
-	default: // BRC
-		upper = int64(loc.Bank)*int64(g.Rows) + int64(loc.Row)
+func (bm *BankMapper) Encode(loc Location) int64 {
+	lo, hi := int64(loc.Bank), int64(loc.Row)
+	if bm.mux == BRC {
+		lo, hi = hi, lo
 	}
-	return upper*rowBytes + int64(loc.Column)*wordBytes
+	return (hi<<bm.lowShift+lo)<<bm.rowShift + int64(loc.Column)<<bm.wordShift
 }
 
 // AddressMap combines the two decoding steps: system byte address to

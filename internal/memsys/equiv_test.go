@@ -13,22 +13,20 @@ import (
 )
 
 // TestDispatchEquivalence is the bit-identical guarantee for the dispatch
-// engine, in the style of controller.TestResetEquivalence: across randomized
+// path, in the style of controller.TestResetEquivalence: across randomized
 // configurations (channels, interleave granularity, queue depth, write
 // buffer, page policy, probes, faults) and randomized request streams, the
-// serial per-burst reference, the serial coalesced path, the parallel
-// persistent-worker engine, and the parallel per-burst path must produce
-// identical Results, per-channel stats, latency histograms and probe event
-// streams.
+// per-burst reference and the coalesced path must produce identical
+// Results, per-channel stats, latency histograms and probe event streams.
 func TestDispatchEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(0xc0a1e5ce))
 
 	// Walk the full scheduling-policy x datasheet matrix twice (the trial
 	// index enumerates it deterministically), with the rest of the
 	// configuration and the request stream randomized per trial. Every
-	// combination must agree across all four dispatch variants — in
+	// combination must agree across both dispatch variants — in
 	// particular, coalesce-unsafe policies must fall back to the per-burst
-	// reference schedule on every path.
+	// reference schedule.
 	policies := controller.Policies()
 	devices := dram.Devices()
 	trials := 2 * len(policies) * len(devices)
@@ -106,14 +104,11 @@ func TestDispatchEquivalence(t *testing.T) {
 
 		type variant struct {
 			name       string
-			parallel   bool
 			noCoalesce bool
 		}
 		variants := []variant{
-			{"serial per-burst", false, true},
-			{"serial coalesced", false, false},
-			{"parallel coalesced", true, false},
-			{"parallel per-burst", true, true},
+			{"per-burst", true},
+			{"coalesced", false},
 		}
 
 		type outcome struct {
@@ -125,8 +120,6 @@ func TestDispatchEquivalence(t *testing.T) {
 		}
 		runVariant := func(v variant) outcome {
 			c := cfg
-			c.Parallel = v.parallel
-			c.ForceParallel = v.parallel
 			c.NoCoalesce = v.noCoalesce
 			if plan != nil {
 				p := *plan
@@ -167,7 +160,7 @@ func TestDispatchEquivalence(t *testing.T) {
 				t.Fatalf("trial %d (cfg %+v): %s run: %v", trial, cfg, v.name, got.failure)
 			}
 			if !reflect.DeepEqual(got.res, ref.res) {
-				t.Errorf("trial %d (cfg %+v, faults %v, probe %v): %s Result diverged from serial per-burst:\ngot:  %+v\nwant: %+v",
+				t.Errorf("trial %d (cfg %+v, faults %v, probe %v): %s Result diverged from per-burst:\ngot:  %+v\nwant: %+v",
 					trial, cfg, plan != nil, withProbe, v.name, got.res, ref.res)
 			}
 			if ref.latOK && !reflect.DeepEqual(got.lats, ref.lats) {
@@ -228,59 +221,5 @@ func TestCoalescedMatchesPerBurstAcrossGranularities(t *testing.T) {
 					channels, gran, got, want)
 			}
 		}
-	}
-}
-
-// TestParallelEngineReuse exercises the persistent-worker engine across
-// repeated Run/Reset cycles on one System — the benchmark loop shape — and
-// checks against a fresh serial system each time.
-func TestParallelEngineReuse(t *testing.T) {
-	cfg := PaperConfig(4, 400*units.MHz)
-	cfg.Parallel = true
-	cfg.ForceParallel = true
-	sys, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		reqs := []Request{{Addr: int64(i) * 64, Bytes: 1 << 19}}
-		sys.Reset()
-		got, err := sys.Run(NewSliceSource(reqs))
-		if err != nil {
-			t.Fatal(err)
-		}
-		serial := PaperConfig(4, 400*units.MHz)
-		ref, err := New(serial)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := ref.Run(NewSliceSource(reqs))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("run %d: parallel reuse diverged:\ngot:  %+v\nwant: %+v", i, got, want)
-		}
-	}
-}
-
-// TestRunErrorStopsEngine makes sure an invalid transaction mid-stream
-// still terminates the persistent workers (the deferred stop path).
-func TestRunErrorStopsEngine(t *testing.T) {
-	cfg := PaperConfig(4, 400*units.MHz)
-	cfg.Parallel = true
-	cfg.ForceParallel = true
-	sys, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reqs := []Request{{Addr: 0, Bytes: 1 << 16}, {Addr: 64, Bytes: 0}}
-	if _, err := sys.Run(NewSliceSource(reqs)); err == nil {
-		t.Fatal("expected error for zero-byte transaction")
-	}
-	// A fresh Run on the same System must still work.
-	sys.Reset()
-	if _, err := sys.Run(NewSliceSource([]Request{{Addr: 0, Bytes: 4096}})); err != nil {
-		t.Fatal(err)
 	}
 }

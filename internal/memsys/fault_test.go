@@ -84,43 +84,6 @@ func TestDropoutPersistsAcrossRuns(t *testing.T) {
 	}
 }
 
-func TestFaultySerialMatchesParallel(t *testing.T) {
-	plan := &fault.Plan{
-		Seed:          99,
-		DropChannel:   0,
-		DropAtCycle:   200,
-		DerateAtCycle: 100,
-		ReadErrorRate: 0.01,
-		StallRate:     0.005,
-	}
-	results := make([]Result, 2)
-	counters := make([]fault.Counters, 2)
-	for i, parallel := range []bool{false, true} {
-		cfg := PaperConfig(4, 400*units.MHz)
-		cfg.Parallel = parallel
-		cfg.ForceParallel = parallel
-		p := *plan
-		cfg.Faults = &p
-		s, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		run, err := s.Run(NewSliceSource(streamReqs(20000)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		results[i] = run
-		counters[i] = s.Injector().Counters()
-	}
-	if !reflect.DeepEqual(results[0], results[1]) {
-		t.Errorf("faulty serial and parallel runs diverged:\nserial:   %+v\nparallel: %+v",
-			results[0], results[1])
-	}
-	if counters[0] != counters[1] {
-		t.Errorf("fault counters diverged: %+v vs %+v", counters[0], counters[1])
-	}
-}
-
 func TestFaultyResetReplaysRun(t *testing.T) {
 	cfg := PaperConfig(4, 400*units.MHz)
 	cfg.Faults = &fault.Plan{Seed: 7, DropChannel: 3, DropAtCycle: 80, ReadErrorRate: 0.02}

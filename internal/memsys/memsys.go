@@ -8,7 +8,6 @@ package memsys
 
 import (
 	"fmt"
-	"runtime"
 
 	"repro/internal/channel"
 	"repro/internal/controller"
@@ -58,23 +57,15 @@ type Config struct {
 	// bytes (paper Table II: 16, the minimum burst). Zero uses the burst
 	// size; larger values must be multiples of it.
 	InterleaveGranularity int64
-	// Parallel executes the channels on separate goroutines: one
-	// persistent worker per channel for the duration of each Run, fed
-	// with batched ops. Channels are fully independent, so results are
-	// bit-identical to the serial run; this only changes wall-clock
-	// simulation speed.
+	// Parallel is ignored: every Run dispatches serially on the calling
+	// goroutine. The field stays so existing configurations keep
+	// compiling; sweeps spread whole points over cores instead (see
+	// core.RunIndexed).
 	Parallel bool
-	// ForceParallel runs the parallel engine even on a single-CPU host,
-	// where Run otherwise takes the serial path because goroutine
-	// handoffs cannot buy wall-clock time without a second core. Results
-	// are bit-identical regardless — this knob exists so the differential
-	// oracle and the engine's own tests exercise the parallel code path
-	// deterministically on any CI host.
-	ForceParallel bool
 	// NoCoalesce forces per-burst dispatch even where the burst-run fast
 	// path applies (see Run). Results are bit-identical either way — this
-	// is a debugging/CI knob, like core.MemoryConfig.Serial: the
-	// equivalence property test diffs coalesced against per-burst runs.
+	// is a debugging/CI knob: the equivalence property test diffs
+	// coalesced against per-burst runs.
 	NoCoalesce bool
 	// SynthCoalescedEvents keeps coalesced dispatch active even with
 	// probes attached (see controller.Config.SynthCoalescedEvents): the
@@ -86,10 +77,7 @@ type Config struct {
 	// NewProbe, when non-nil, is called once per channel index at
 	// construction and attaches the returned event sink to that channel's
 	// controller (see internal/probe). A nil return leaves that channel
-	// unobserved. With Parallel simulation each sink is driven from its
-	// own goroutine, so per-channel sinks must not share unsynchronized
-	// mutable state (probe.TimeSeries.Channel and probe.Trace.Channel
-	// satisfy this).
+	// unobserved.
 	NewProbe func(channel int) probe.Sink
 	// Faults, when non-nil and enabled, injects the deterministic seeded
 	// fault plan (see internal/fault): channel dropout with re-interleave
@@ -166,8 +154,7 @@ type System struct {
 	// the simulation time at the point of dispatch — the latest request
 	// arrival seen, or the dispatched data-bus cycles spread evenly over
 	// the live channels, whichever is larger — so the dropout trigger
-	// depends only on the request stream, never on completion times, and
-	// serial and parallel runs fail the channel at the identical burst.
+	// depends only on the request stream, never on completion times.
 	inj         *fault.Injector
 	dropped     bool
 	deadChannel int
@@ -176,11 +163,6 @@ type System struct {
 	liveIlv     mapping.ChannelInterleave // Table II remap over M-1
 	dispArrival int64                     // max request arrival dispatched
 	dispBus     int64                     // data-bus cycles dispatched
-
-	// eng is the persistent parallel-dispatch engine: batches and handoff
-	// channels survive across Runs (and pool revivals), worker goroutines
-	// do not — see startEngine/stop.
-	eng engine
 }
 
 // New builds the subsystem, validating the configuration.
@@ -340,8 +322,7 @@ func (r Result) BusUtilization() float64 {
 
 // Run executes all transactions from src and returns the aggregate result.
 // Transactions are split into burst-sized chunks and dispatched to their
-// channels in program order (from persistent per-channel workers when
-// Parallel is set — same results, faster simulation).
+// channels in program order.
 //
 // Because the channel interleave is a fixed stride, each transaction's
 // bursts form one contiguous local run per channel; on an unobserved,
@@ -352,23 +333,13 @@ func (r Result) BusUtilization() float64 {
 // per-channel op order — and therefore every reported number — is
 // bit-identical.
 func (s *System) Run(src Source) (Result, error) {
-	if m := activeEngineMeter.Load(); m != nil {
+	if m := activeMeter.Load(); m != nil {
 		m.runs.Inc()
 	}
 	res := Result{PerChannel: make([]stats.Channel, len(s.chans)), FailedChannel: -1}
 	burst := s.cfg.Geometry.BurstBytes()
 	var last int64
 
-	// On one CPU the engine's goroutine handoffs are pure overhead — the
-	// serial path computes the identical result faster — so Parallel only
-	// engages with real parallelism available (or when forced for tests).
-	parallel := s.cfg.Parallel && len(s.chans) > 1 &&
-		(s.cfg.ForceParallel || runtime.GOMAXPROCS(0) > 1)
-	var eng *engine
-	if parallel {
-		eng = s.startEngine()
-		defer eng.stop() // idempotent; drains workers on early error returns
-	}
 	// Coalescing additionally requires the scheduling policy to have
 	// declared its command stream safe for the arithmetic fast path; any
 	// non-baseline policy conservatively dispatches per burst, which also
@@ -402,9 +373,6 @@ func (s *System) Run(src Source) (Result, error) {
 		}
 		if dropPending && s.dispatchClock() >= s.inj.Plan().DropAtCycle {
 			dropPending = false
-			if parallel {
-				eng.barrier() // drain in-flight work so events sit at the failure point
-			}
 			s.failChannel(s.inj.Plan().DropChannel)
 		}
 		arrival := s.onchip.Deliver(req.Arrival)
@@ -413,30 +381,18 @@ func (s *System) Run(src Source) (Result, error) {
 		end := req.Addr + req.Bytes
 		bursts := (end - start + burst - 1) / burst
 		if coalesce {
-			s.dispatchRuns(req.Write, start, bursts, arrival, eng, &last)
+			s.dispatchRuns(req.Write, start, bursts, arrival, &last)
 		} else {
 			for a := start; a < end; a += burst {
 				ch, local := s.route(a)
-				if parallel {
-					eng.dispatch(ch, runOp{write: req.Write, local: local, bursts: 1,
-						stream: int32(req.Stream), arrival: arrival})
-				} else {
-					done := s.chans[ch].AccessStream(req.Write, local, req.Stream, arrival)
-					if done > last {
-						last = done
-					}
+				if done := s.chans[ch].AccessStream(req.Write, local, req.Stream, arrival); done > last {
+					last = done
 				}
 			}
 		}
 		s.dispBus += bursts * s.speed.BurstCycles
 		res.Bursts += bursts
 		res.BusBytes += bursts * burst
-	}
-	if parallel {
-		eng.stop()
-		if eng.last > last {
-			last = eng.last
-		}
 	}
 	for i, ch := range s.chans {
 		// Drain any posted writes so the makespan covers all traffic.
@@ -468,17 +424,14 @@ func (s *System) observed() bool {
 	return false
 }
 
-// maxRunBursts caps one dispatch op's burst count (the batch op field is an
-// int32); longer runs split with no observable effect.
-const maxRunBursts = 1 << 30
-
 // dispatchRuns splits the burst-aligned global range [start, start+bursts*B)
-// into its per-channel contiguous local runs and dispatches each as one op.
+// into its per-channel contiguous local runs and hands each to its channel
+// in one AccessRun call.
 // The stride interleave sends global chunk k to channel k mod M, and a
 // channel's consecutive chunks are adjacent in its local address space, so
 // each channel's share of a transaction is exactly one run: arithmetic over
 // chunk indices replaces the per-burst route() loop.
-func (s *System) dispatchRuns(write bool, start, bursts, arrival int64, eng *engine, last *int64) {
+func (s *System) dispatchRuns(write bool, start, bursts, arrival int64, last *int64) {
 	burst := s.cfg.Geometry.BurstBytes()
 	ilv := s.interleave
 	g := ilv.Granularity() / burst // bursts per interleave chunk
@@ -503,19 +456,9 @@ func (s *System) dispatchRuns(write bool, start, bursts, arrival int64, eng *eng
 				cnt -= chunkEnd - (s0 + bursts)
 			}
 		}
-		local := ilv.Local(first * burst)
-		if eng == nil {
-			if e := s.chans[c].AccessRun(write, local, int(cnt), arrival); e > *last {
-				*last = e
-			}
-			continue
+		if e := s.chans[c].AccessRun(write, ilv.Local(first*burst), int(cnt), arrival); e > *last {
+			*last = e
 		}
-		for cnt > maxRunBursts {
-			eng.dispatch(int(c), runOp{write: write, local: local, bursts: maxRunBursts, arrival: arrival})
-			local += maxRunBursts * burst
-			cnt -= maxRunBursts
-		}
-		eng.dispatch(int(c), runOp{write: write, local: local, bursts: int32(cnt), arrival: arrival})
 	}
 }
 

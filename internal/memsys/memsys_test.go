@@ -305,44 +305,6 @@ func TestOpenPageBeatsClosedPage(t *testing.T) {
 	}
 }
 
-// Parallel execution is bit-identical to serial: channels are independent.
-func TestParallelMatchesSerial(t *testing.T) {
-	reqs := []Request{
-		{Addr: 0, Bytes: 1 << 18},
-		{Write: true, Addr: 1 << 20, Bytes: 1 << 17},
-		{Addr: 3 << 20, Bytes: 1 << 16, Arrival: 5000},
-	}
-	serialCfg := PaperConfig(4, 400*units.MHz)
-	parallelCfg := serialCfg
-	parallelCfg.Parallel = true
-	parallelCfg.ForceParallel = true
-
-	run := func(cfg Config) Result {
-		sys, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := sys.Run(NewSliceSource(reqs))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	a, b := run(serialCfg), run(parallelCfg)
-	if a.Cycles != b.Cycles {
-		t.Errorf("makespans differ: %d vs %d", a.Cycles, b.Cycles)
-	}
-	for i := range a.PerChannel {
-		if a.PerChannel[i] != b.PerChannel[i] {
-			t.Errorf("channel %d stats differ:\n serial  %+v\n parallel %+v",
-				i, a.PerChannel[i], b.PerChannel[i])
-		}
-	}
-	if a.Bursts != b.Bursts || a.BytesRead != b.BytesRead || a.BytesWritten != b.BytesWritten {
-		t.Error("traffic accounting differs")
-	}
-}
-
 // Conservation property: for arbitrary transaction lists, burst counts per
 // channel sum to the total, bus bytes cover the payload, and makespan
 // bounds every channel's busy time.

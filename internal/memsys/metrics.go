@@ -6,29 +6,21 @@ import (
 	"repro/internal/metrics"
 )
 
-// engineMeter holds the parallel engine's instruments: batch dispatch
-// volume and granularity. Counting happens at batch handoff (submit), not
-// per op, so the enabled cost is two atomic updates per up-to-32768 ops
-// and the disabled cost is one pointer load per handoff.
-type engineMeter struct {
-	batches  *metrics.Counter
-	batchOps *metrics.Histogram
-	runs     *metrics.Counter
+// meter holds the subsystem's instruments; counting happens once per Run,
+// so the disabled cost is one pointer load per Run.
+type meter struct {
+	runs *metrics.Counter
 }
 
-// activeEngineMeter is the process-wide engine meter, nil when disabled.
-var activeEngineMeter atomic.Pointer[engineMeter]
+// activeMeter is the process-wide meter, nil when disabled.
+var activeMeter atomic.Pointer[meter]
 
-// EnableMetrics registers the engine instruments in r and starts
+// EnableMetrics registers the subsystem instruments in r and starts
 // counting; nil disables. Normally called through core.EnableMetrics.
 func EnableMetrics(r *metrics.Registry) {
 	if r == nil {
-		activeEngineMeter.Store(nil)
+		activeMeter.Store(nil)
 		return
 	}
-	activeEngineMeter.Store(&engineMeter{
-		batches:  r.Counter("memsys_batches_dispatched_total"),
-		batchOps: r.Histogram("memsys_batch_ops", metrics.SizeBuckets),
-		runs:     r.Counter("memsys_runs_total"),
-	})
+	activeMeter.Store(&meter{runs: r.Counter("memsys_runs_total")})
 }

@@ -239,41 +239,3 @@ func TestTraceCollectorOnRealRun(t *testing.T) {
 		}
 	}
 }
-
-// TestParallelRunMatchesSerial checks that per-channel sinks observe the
-// same stream whether the channels run serially or on goroutines.
-func TestParallelRunMatchesSerial(t *testing.T) {
-	const channels = 4
-	reqs := videoRequests(t, channels, 0.005)
-	run := func(parallel bool) []*probe.Recorder {
-		recs := make([]*probe.Recorder, channels)
-		cfg := memsys.PaperConfig(channels, 400*units.MHz)
-		cfg.Parallel = parallel
-		cfg.ForceParallel = parallel
-		cfg.NewProbe = func(ch int) probe.Sink {
-			recs[ch] = &probe.Recorder{}
-			return recs[ch]
-		}
-		sys, err := memsys.New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sys.Run(memsys.NewSliceSource(reqs)); err != nil {
-			t.Fatal(err)
-		}
-		return recs
-	}
-	serial, par := run(false), run(true)
-	for ch := 0; ch < channels; ch++ {
-		if len(serial[ch].Events) != len(par[ch].Events) {
-			t.Fatalf("channel %d: serial %d events, parallel %d",
-				ch, len(serial[ch].Events), len(par[ch].Events))
-		}
-		for i := range serial[ch].Events {
-			if serial[ch].Events[i] != par[ch].Events[i] {
-				t.Fatalf("channel %d event %d differs: serial %+v parallel %+v",
-					ch, i, serial[ch].Events[i], par[ch].Events[i])
-			}
-		}
-	}
-}
