@@ -15,6 +15,7 @@
 //	BenchmarkPagePolicy      -> ablation A3
 //	BenchmarkChannelScaling  -> the "close to 2x" scaling claim
 //	BenchmarkRawChannel      -> simulator throughput (engineering metric)
+//	BenchmarkPolicyRun       -> memsys.Run cost per scheduling policy
 //	BenchmarkSimulate        -> end-to-end point cost, uncached vs cached
 //	BenchmarkFullFormatMatrix-> whole-artifact cost, uncached vs cached
 //	BenchmarkGeometrySweep   -> extension G1 (device organization)
@@ -29,6 +30,8 @@ import (
 
 	"repro/internal/controller"
 	"repro/internal/core"
+	"repro/internal/dram"
+	"repro/internal/load"
 	"repro/internal/mapping"
 	"repro/internal/memsys"
 	"repro/internal/metrics"
@@ -399,6 +402,56 @@ func BenchmarkPerBurstRun(b *testing.B) {
 // BenchmarkPerBurstRun.
 func BenchmarkCoalescedRun(b *testing.B) {
 	rawRun(b, func(cfg *memsys.Config) { cfg.NoCoalesce = false })
+}
+
+// BenchmarkPolicyRun measures memsys.Run on real recording traffic under
+// each non-baseline scheduling policy: one 1080p30 frame sampled at
+// fraction 0.02 from the load generator, on 2 channels at 400 MHz, with the
+// subsystem revived by Reset between iterations. Throughput is payload
+// bytes per second; ci.sh gates its allocations against the "# allocs"
+// entries in results/BENCH_FLOOR.
+func BenchmarkPolicyRun(b *testing.B) {
+	w, err := core.WorkloadFor("1080p30")
+	if err != nil {
+		b.Fatal(err)
+	}
+	uc, err := usecase.New(w.Profile, usecase.DefaultParams())
+	if err != nil {
+		b.Fatal(err)
+	}
+	gen, err := load.New(uc, 2, dram.DefaultGeometry(), w.Load)
+	if err != nil {
+		b.Fatal(err)
+	}
+	src, err := gen.Frame(0.02)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var reqs []memsys.Request
+	var bytes int64
+	for r, ok := src.Next(); ok; r, ok = src.Next() {
+		reqs = append(reqs, r)
+		bytes += r.Bytes
+	}
+	for _, pol := range []controller.PagePolicy{controller.ClosedPage, controller.FRFCFS, controller.BankPartition} {
+		b.Run(pol.String(), func(b *testing.B) {
+			cfg := memsys.PaperConfig(2, 400*units.MHz)
+			cfg.Policy = pol
+			sys, err := memsys.New(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(bytes)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sys.Reset()
+				if _, err := sys.Run(memsys.NewSliceSource(reqs)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // probeBenchRun drives one saturated 4 MiB stream through a 4-channel

@@ -8,6 +8,7 @@ import (
 	"fmt"
 
 	"repro/internal/controller"
+	"repro/internal/dram"
 	"repro/internal/fault"
 	"repro/internal/interconnect"
 	"repro/internal/mapping"
@@ -40,6 +41,11 @@ type Channel struct {
 	queue *controller.ReorderQueue
 	link  interconnect.Link
 	inj   *fault.ChannelInjector // nil = fault-free (the fast path)
+	geom  dram.Geometry          // the controller's, cached for run walks
+	// coalesce sends runs to the controller's arithmetic row walk: set for
+	// a fault-free, in-order channel under a coalesce-safe policy whose
+	// probe, if any, synthesizes coalesced events.
+	coalesce bool
 }
 
 // New builds a channel.
@@ -66,6 +72,9 @@ func New(cfg Config) (*Channel, error) {
 		queue: controller.NewReorderQueue(ctl, depth),
 		link:  cfg.DRAMLink,
 		inj:   cfg.Faults,
+		geom:  cfg.Controller.Speed.Geometry,
+		coalesce: cfg.Faults == nil && depth == 0 && ctl.CoalesceSafe() &&
+			(!ctl.HasProbe() || ctl.SynthCoalesced()),
 	}, nil
 }
 
@@ -119,20 +128,25 @@ func (ch *Channel) AccessStream(write bool, local int64, stream int, arrival int
 // per-burst completion cycle, bit-identical to calling Access once per burst
 // in address order.
 //
-// With an in-order, unobserved, fault-free channel under a coalesce-safe
-// policy the run is handed to the controller's coalesced fast path (see
-// controller.AccessRun); a reorder window, an attached probe, a fault
-// stream, or a policy that has not declared coalesce-safety falls back to
-// the per-burst path so event streams, fault decisions and policy state
-// stay identical.
+// With an in-order, fault-free channel under a coalesce-safe policy,
+// unobserved or synthesizing its probe events, the run is handed to the
+// controller's coalesced fast path (see controller.AccessRun). Any other
+// fault-free run — a reorder window, a policy that has not declared
+// coalesce-safety, or a probe without synthesis — walks the run row by
+// row: one decode and stream remap per row segment, then one queue access
+// per burst, so the scheduler, the policy state and the event stream see
+// exactly the per-burst sequence.
+// A fault stream (retries draw per burst), or an unaligned start address
+// the row walk cannot count whole bursts from, falls back to calling
+// AccessStream once per burst.
 func (ch *Channel) AccessRun(write bool, local int64, bursts int, arrival int64) int64 {
 	return ch.AccessRunStream(write, local, bursts, 0, arrival)
 }
 
-// AccessRunStream is AccessRun with the requester's stream identity; the
-// per-burst fallback attributes every burst to the stream. The coalesced
-// fast path only engages for coalesce-safe policies, whose stream remap
-// is the identity, so stream attribution is never lost to coalescing.
+// AccessRunStream is AccessRun with the requester's stream identity; every
+// burst of the run is attributed to the stream. The coalesced fast path only
+// engages for coalesce-safe policies, whose stream remap is the identity, so
+// stream attribution is never lost to coalescing.
 func (ch *Channel) AccessRunStream(write bool, local int64, bursts int, stream int, arrival int64) int64 {
 	if bursts <= 1 {
 		if bursts < 1 {
@@ -140,9 +154,9 @@ func (ch *Channel) AccessRunStream(write bool, local int64, bursts int, stream i
 		}
 		return ch.AccessStream(write, local, stream, arrival)
 	}
-	if ch.inj != nil || ch.queue.Depth() > 0 || !ch.ctl.CoalesceSafe() ||
-		(ch.ctl.HasProbe() && !ch.ctl.SynthCoalesced()) {
-		burstBytes := ch.ctl.Config().Speed.Geometry.BurstBytes()
+	g := &ch.geom
+	burstBytes := g.BurstBytes()
+	if ch.inj != nil || (!ch.coalesce && local%burstBytes != 0) {
 		var end int64
 		for i := 0; i < bursts; i++ {
 			if e := ch.AccessStream(write, local, stream, arrival); e > end {
@@ -155,7 +169,27 @@ func (ch *Channel) AccessRunStream(write bool, local int64, bursts int, stream i
 	if arrival < 0 {
 		arrival = 0
 	}
-	end := ch.ctl.AccessRun(write, local, bursts, ch.link.Deliver(arrival))
+	at := ch.link.Deliver(arrival)
+	var end int64
+	if ch.coalesce {
+		end = ch.ctl.AccessRun(write, local, bursts, at)
+	} else {
+		for bursts > 0 {
+			loc := ch.ctl.MapStream(stream, ch.decode(local))
+			n := (g.Columns - loc.Column) / g.BurstLength // bursts left in this row
+			if n > bursts {
+				n = bursts
+			}
+			for i := 0; i < n; i++ {
+				if e := ch.queue.Access(write, loc, at); e > end {
+					end = e
+				}
+				loc.Column += g.BurstLength
+			}
+			local += int64(n) * burstBytes
+			bursts -= n
+		}
+	}
 	if write {
 		return end
 	}

@@ -3,8 +3,10 @@
 // coalesced — and diffs the full per-channel command streams, not just the
 // end statistics. The coalesced arm runs with SynthCoalescedEvents so the
 // fast path stays engaged while still emitting its arithmetic
-// reconstruction of the per-burst events; any divergence in an event
-// field, an event count or a result field is a bug in one of the paths.
+// reconstruction of the per-burst events (open page), or dispatches whole
+// per-channel runs through the channel's row walk (every other policy);
+// any divergence in an event field, an event count or a result field is a
+// bug in one of the paths.
 package check
 
 import (

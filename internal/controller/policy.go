@@ -33,16 +33,17 @@ type Policy interface {
 	// CoalesceSafe declares that the policy's command stream for an
 	// aligned same-row run is the pure open-page schedule the coalesced
 	// fast path (AccessRun) reproduces arithmetically. Any policy that
-	// reorders, remaps banks or closes rows must return false; the
-	// dispatch layers then conservatively fall back to the per-burst
-	// reference path.
+	// reorders, remaps banks or closes rows must return false; its runs
+	// then reach the controller one burst at a time (see
+	// channel.AccessRunStream), in the per-burst reference order.
 	CoalesceSafe() bool
 	// MinQueueDepth is the reorder window the policy requires when the
 	// configuration does not set one (0 = in-order is fine).
 	MinQueueDepth() int
 	// Pick selects the preferred pending request to issue next, or -1 to
-	// defer to the oldest. The queue's anti-starvation bound overrides
-	// the choice after maxBypass bypasses.
+	// defer to the oldest. pending is in arrival order (oldest first), so
+	// the first match of a scan is the oldest match. The queue's
+	// anti-starvation bound overrides the choice after maxBypass bypasses.
 	Pick(c *Controller, pending []queuedRequest) int
 	// Map rewrites a decoded location for the request's stream before it
 	// enters the queue (bank partitioning); identity for most policies.
@@ -110,16 +111,12 @@ func ParsePolicy(s string) (PagePolicy, error) {
 // pickRowHitFirst is the shared first-ready heuristic: the oldest pending
 // request whose row is already open, or -1 when no row hit exists.
 func pickRowHitFirst(c *Controller, pending []queuedRequest) int {
-	best := -1
 	for i := range pending {
-		r := pending[i]
-		if c.rowOpen(r.loc) {
-			if best < 0 || r.seq < pending[best].seq {
-				best = i
-			}
+		if c.rowOpen(pending[i].loc) {
+			return i
 		}
 	}
-	return best
+	return -1
 }
 
 // openPagePolicy is the paper's baseline: rows stay open, requests issue
@@ -172,16 +169,12 @@ func (frfcfsPolicy) Pick(c *Controller, pending []queuedRequest) int {
 	if best := pickRowHitFirst(c, pending); best >= 0 {
 		return best
 	}
-	best := -1
 	for i := range pending {
-		r := pending[i]
-		if !c.banks[r.loc.Bank].open {
-			if best < 0 || r.seq < pending[best].seq {
-				best = i
-			}
+		if !c.banks[pending[i].loc.Bank].open {
+			return i
 		}
 	}
-	return best
+	return -1
 }
 func (frfcfsPolicy) Map(c *Controller, stream int, loc mapping.Location) mapping.Location {
 	return loc

@@ -30,8 +30,6 @@ type ReorderQueue struct {
 	depth    int
 	pending  []queuedRequest
 	nextSeq  int64
-	issued   int64
-	lastEnd  int64
 	bypassOf int64 // seq of the tracked oldest, for starvation accounting
 	bypasses int
 }
@@ -61,9 +59,6 @@ func (q *ReorderQueue) Access(write bool, loc mapping.Location, arrival int64) i
 			q.ctl.EmitEvent(probe.Event{Kind: probe.KindEnqueue, Bank: int32(loc.Bank), At: arrival, End: arrival, Depth: 1})
 		}
 		end := q.ctl.Access(write, loc, arrival)
-		if end > q.lastEnd {
-			q.lastEnd = end
-		}
 		if q.ctl.HasProbe() {
 			lat := end - arrival
 			if lat < 0 {
@@ -87,38 +82,25 @@ func (q *ReorderQueue) Access(write bool, loc mapping.Location, arrival int64) i
 
 // issueBest issues the policy's preferred pending request (row hits first
 // for every built-in; FR-FCFS additionally prefers closed banks), forcing
-// the oldest once the anti-starvation bound trips.
+// the oldest once the anti-starvation bound trips. pending is kept in
+// arrival order, so the oldest request is always pending[0].
 func (q *ReorderQueue) issueBest() int64 {
-	best := 0
-	oldest := 0
-	for i := range q.pending {
-		if q.pending[i].seq < q.pending[oldest].seq {
-			oldest = i
-		}
-	}
-	if q.bypassOf != q.pending[oldest].seq {
-		q.bypassOf = q.pending[oldest].seq
+	if q.bypassOf != q.pending[0].seq {
+		q.bypassOf = q.pending[0].seq
 		q.bypasses = 0
 	}
-	if q.bypasses >= maxBypass {
-		best = oldest
-	} else {
-		best = q.ctl.pol.Pick(q.ctl, q.pending)
-		if best < 0 {
-			best = oldest
+	best := 0
+	if q.bypasses < maxBypass {
+		if best = q.ctl.pol.Pick(q.ctl, q.pending); best < 0 {
+			best = 0
 		}
 	}
 	r := q.pending[best]
-	if best != oldest {
+	if best != 0 {
 		q.bypasses++
 	}
-	q.pending[best] = q.pending[len(q.pending)-1]
-	q.pending = q.pending[:len(q.pending)-1]
-	q.issued++
+	q.pending = q.pending[:best+copy(q.pending[best:], q.pending[best+1:])]
 	end := q.ctl.Access(r.write, r.loc, r.arrival)
-	if end > q.lastEnd {
-		q.lastEnd = end
-	}
 	if q.ctl.HasProbe() {
 		lat := end - r.arrival
 		if lat < 0 {

@@ -1,6 +1,8 @@
 package controller
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/mapping"
@@ -113,5 +115,158 @@ func TestReorderQueueAntiStarvation(t *testing.T) {
 	q.Flush()
 	if q.Pending() != 0 {
 		t.Error("flush left pending requests")
+	}
+}
+
+// referenceQueue is the reorder window the arrival-ordered ReorderQueue
+// replaced, kept as the oracle it must reproduce exactly: pending in no
+// particular order (swap-remove), the oldest found by a minimum-seq scan,
+// and every policy's preference resolved to its minimum-seq match.
+type referenceQueue struct {
+	ctl      *Controller
+	depth    int
+	pending  []queuedRequest
+	nextSeq  int64
+	bypassOf int64
+	bypasses int
+	issued   []int64 // seq of every issued request, in issue order
+	forced   int     // issues the anti-starvation bound forced
+}
+
+// referencePick is the minimum-seq form of each built-in Policy.Pick.
+func referencePick(c *Controller, pending []queuedRequest) int {
+	oldestWhere := func(match func(r queuedRequest) bool) int {
+		best := -1
+		for i, r := range pending {
+			if match(r) && (best < 0 || r.seq < pending[best].seq) {
+				best = i
+			}
+		}
+		return best
+	}
+	best := oldestWhere(func(r queuedRequest) bool { return c.rowOpen(r.loc) })
+	if best < 0 && c.pol.Kind() == FRFCFS {
+		best = oldestWhere(func(r queuedRequest) bool { return !c.banks[r.loc.Bank].open })
+	}
+	return best
+}
+
+func (q *referenceQueue) access(write bool, loc mapping.Location, arrival int64) {
+	q.pending = append(q.pending, queuedRequest{write: write, loc: loc, arrival: arrival, seq: q.nextSeq})
+	q.nextSeq++
+	if len(q.pending) >= q.depth {
+		q.issueBest()
+	}
+}
+
+func (q *referenceQueue) issueBest() {
+	oldest := 0
+	for i := range q.pending {
+		if q.pending[i].seq < q.pending[oldest].seq {
+			oldest = i
+		}
+	}
+	if q.bypassOf != q.pending[oldest].seq {
+		q.bypassOf = q.pending[oldest].seq
+		q.bypasses = 0
+	}
+	best := oldest
+	if q.bypasses >= maxBypass {
+		q.forced++
+	} else if p := referencePick(q.ctl, q.pending); p >= 0 {
+		best = p
+	}
+	r := q.pending[best]
+	if best != oldest {
+		q.bypasses++
+	}
+	q.pending[best] = q.pending[len(q.pending)-1]
+	q.pending = q.pending[:len(q.pending)-1]
+	q.issued = append(q.issued, r.seq)
+	q.ctl.Access(r.write, r.loc, r.arrival)
+}
+
+func (q *referenceQueue) flush() int64 {
+	for len(q.pending) > 0 {
+		q.issueBest()
+	}
+	return q.ctl.Flush()
+}
+
+// issuedSeq reports which request the last window operation issued: the
+// one seq in before (plus the newest request, when one was just enqueued)
+// that is no longer pending, or -1 when nothing issued.
+func issuedSeq(q *ReorderQueue, before []int64) int64 {
+	left := make(map[int64]bool, len(q.pending))
+	for _, r := range q.pending {
+		left[r.seq] = true
+	}
+	for _, seq := range before {
+		if !left[seq] {
+			return seq
+		}
+	}
+	return -1
+}
+
+func pendingSeqs(q *ReorderQueue) []int64 {
+	var seqs []int64
+	for _, r := range q.pending {
+		seqs = append(seqs, r.seq)
+	}
+	return seqs
+}
+
+// TestReorderQueueMatchesReference drives the arrival-ordered window and
+// the minimum-seq reference with the same seeded location streams, for
+// every policy and several depths, and requires the same issue order, the
+// same channel statistics and the same makespan. The streams concentrate
+// on one hot row per bank so row hits keep overtaking conflicts and the
+// anti-starvation bound trips.
+func TestReorderQueueMatchesReference(t *testing.T) {
+	forced := 0
+	for _, pol := range Policies() {
+		for _, depth := range []int{1, 2, 8, 16} {
+			for seed := int64(1); seed <= 3; seed++ {
+				rng := rand.New(rand.NewSource(seed*100 + int64(depth)))
+				cfg := defaultCfg(t)
+				cfg.Policy = pol
+				q := NewReorderQueue(newCtl(t, cfg), depth)
+				ref := &referenceQueue{ctl: newCtl(t, cfg), depth: depth}
+				var order []int64
+				arrival := int64(0)
+				for i := 0; i < 3000; i++ {
+					arrival += rng.Int63n(12)
+					loc := mapping.Location{Bank: rng.Intn(4), Column: 4 * rng.Intn(128)}
+					if rng.Intn(10) == 0 {
+						loc.Row = 1 + rng.Intn(64) // a conflict with the hot row 0
+					}
+					write := rng.Intn(4) == 0
+					before := append(pendingSeqs(q), q.nextSeq)
+					q.Access(write, loc, arrival)
+					if seq := issuedSeq(q, before); seq >= 0 {
+						order = append(order, seq)
+					}
+					ref.access(write, loc, arrival)
+				}
+				for q.Pending() > 0 {
+					before := pendingSeqs(q)
+					q.issueBest()
+					order = append(order, issuedSeq(q, before))
+				}
+				got, want := q.ctl.Flush(), ref.flush()
+				if !reflect.DeepEqual(order, ref.issued) {
+					t.Fatalf("%v depth %d seed %d: issue order diverged from the reference", pol, depth, seed)
+				}
+				if gs, ws := q.ctl.Stats(), ref.ctl.Stats(); gs != ws || got != want {
+					t.Fatalf("%v depth %d seed %d: stats/makespan diverged:\ngot:  %+v (%d)\nwant: %+v (%d)",
+						pol, depth, seed, gs, got, ws, want)
+				}
+				forced += ref.forced
+			}
+		}
+	}
+	if forced == 0 {
+		t.Error("no stream tripped the anti-starvation bound")
 	}
 }

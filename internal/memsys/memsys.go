@@ -327,11 +327,12 @@ func (r Result) BusUtilization() float64 {
 // Because the channel interleave is a fixed stride, each transaction's
 // bursts form one contiguous local run per channel; on an unobserved,
 // fault-free system those runs are computed arithmetically and handed to
-// channel.AccessRun in one call instead of once per 16-byte burst. With
-// probes or faults attached (or NoCoalesce set) dispatch stays per-burst,
-// so event streams and fault decision draws are untouched. Either way the
-// per-channel op order — and therefore every reported number — is
-// bit-identical.
+// channel.AccessRunStream in one call per channel instead of once per
+// burst, whatever the scheduling policy. With probes (unless their events
+// are synthesized) or faults attached, or NoCoalesce set, dispatch stays
+// per-burst, so event streams and fault decision draws are untouched.
+// Either way the per-channel op order — and therefore every reported
+// number — is bit-identical.
 func (s *System) Run(src Source) (Result, error) {
 	if m := activeMeter.Load(); m != nil {
 		m.runs.Inc()
@@ -340,13 +341,11 @@ func (s *System) Run(src Source) (Result, error) {
 	burst := s.cfg.Geometry.BurstBytes()
 	var last int64
 
-	// Coalescing additionally requires the scheduling policy to have
-	// declared its command stream safe for the arithmetic fast path; any
-	// non-baseline policy conservatively dispatches per burst, which also
-	// preserves per-burst stream attribution for partitioning policies.
+	// Run dispatch needs no policy check: the channel itself picks the
+	// controller's arithmetic row walk (coalesce-safe policies) or its
+	// per-burst row walk (every other policy), with the stream attached.
 	coalesce := !s.cfg.NoCoalesce && s.inj == nil &&
-		(!s.observed() || s.cfg.SynthCoalescedEvents) &&
-		len(s.chans) > 0 && s.chans[0].Controller().CoalesceSafe()
+		(!s.observed() || s.cfg.SynthCoalescedEvents)
 
 	// Pending dropout from the fault plan (fires at most once per System).
 	dropPending := s.inj != nil && !s.dropped && s.inj.Plan().DropAtCycle > 0
@@ -381,7 +380,7 @@ func (s *System) Run(src Source) (Result, error) {
 		end := req.Addr + req.Bytes
 		bursts := (end - start + burst - 1) / burst
 		if coalesce {
-			s.dispatchRuns(req.Write, start, bursts, arrival, &last)
+			s.dispatchRuns(req.Write, start, bursts, req.Stream, arrival, &last)
 		} else {
 			for a := start; a < end; a += burst {
 				ch, local := s.route(a)
@@ -426,25 +425,40 @@ func (s *System) observed() bool {
 
 // dispatchRuns splits the burst-aligned global range [start, start+bursts*B)
 // into its per-channel contiguous local runs and hands each to its channel
-// in one AccessRun call.
+// in one AccessRunStream call.
 // The stride interleave sends global chunk k to channel k mod M, and a
 // channel's consecutive chunks are adjacent in its local address space, so
-// each channel's share of a transaction is exactly one run: arithmetic over
-// chunk indices replaces the per-burst route() loop.
-func (s *System) dispatchRuns(write bool, start, bursts, arrival int64, last *int64) {
+// each channel's share of a transaction is exactly one run. Of the n chunks
+// touched, starting at channel r0 = k0 mod M, the channel at offset o from
+// r0 takes n/M chunks plus one more when o < n mod M, and its first chunk
+// k0+o is local chunk k0/M (plus one when it wraps past channel M-1): a
+// fixed handful of divisions per transaction replaces the per-burst route()
+// loop and its two divisions per burst.
+func (s *System) dispatchRuns(write bool, start, bursts int64, stream int, arrival int64, last *int64) {
 	burst := s.cfg.Geometry.BurstBytes()
-	ilv := s.interleave
-	g := ilv.Granularity() / burst // bursts per interleave chunk
-	m := int64(ilv.Channels())
+	gran := s.interleave.Granularity()
+	g := gran / burst // bursts per interleave chunk
+	m := int64(s.interleave.Channels())
 	s0 := start / burst // global burst index of the first burst
 	k0 := s0 / g        // first and last chunk index touched
 	k1 := (s0 + bursts - 1) / g
+	base := k0 / m
+	r0 := k0 - base*m
+	n := k1 - k0 + 1
+	q, rem := n/m, n%m
 	for c := int64(0); c < m; c++ {
-		kc := k0 + (c-k0%m+m)%m // channel c's first chunk in range
-		if kc > k1 {
+		o, lc := c-r0, base // channel c's offset from r0, local chunk of its first
+		if o < 0 {
+			o, lc = o+m, base+1
+		}
+		nc := q // its chunk count
+		if o < rem {
+			nc++
+		}
+		if nc == 0 {
 			continue
 		}
-		nc := (k1-kc)/m + 1 // its chunk count
+		kc := k0 + o // its first chunk in range
 		cnt := nc * g
 		first := kc * g
 		if first < s0 { // head chunk entered mid-way (only possible at k0)
@@ -456,7 +470,8 @@ func (s *System) dispatchRuns(write bool, start, bursts, arrival int64, last *in
 				cnt -= chunkEnd - (s0 + bursts)
 			}
 		}
-		if e := s.chans[c].AccessRun(write, ilv.Local(first*burst), int(cnt), arrival); e > *last {
+		local := lc*gran + (first-kc*g)*burst
+		if e := s.chans[c].AccessRunStream(write, local, int(cnt), stream, arrival); e > *last {
 			*last = e
 		}
 	}
