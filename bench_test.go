@@ -405,9 +405,9 @@ func BenchmarkCoalescedRun(b *testing.B) {
 }
 
 // BenchmarkPolicyRun measures memsys.Run on real recording traffic under
-// each non-baseline scheduling policy: one 1080p30 frame sampled at
-// fraction 0.02 from the load generator, on 2 channels at 400 MHz, with the
-// subsystem revived by Reset between iterations. Throughput is payload
+// every scheduling policy, the open-page baseline first: one 1080p30 frame
+// sampled at fraction 0.02 from the load generator, on 2 channels at
+// 400 MHz, with the subsystem revived by Reset between iterations. Throughput is payload
 // bytes per second; ci.sh gates its allocations against the "# allocs"
 // entries in results/BENCH_FLOOR.
 func BenchmarkPolicyRun(b *testing.B) {
@@ -433,7 +433,7 @@ func BenchmarkPolicyRun(b *testing.B) {
 		reqs = append(reqs, r)
 		bytes += r.Bytes
 	}
-	for _, pol := range []controller.PagePolicy{controller.ClosedPage, controller.FRFCFS, controller.BankPartition} {
+	for _, pol := range controller.Policies() {
 		b.Run(pol.String(), func(b *testing.B) {
 			cfg := memsys.PaperConfig(2, 400*units.MHz)
 			cfg.Policy = pol

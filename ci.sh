@@ -83,8 +83,8 @@ echo "== policy x device matrix gate =="
 # every registered policy on every registered device must run a mixed
 # multi-client workload with the timing-invariant checker silent AND
 # replay it bit-identically through both dispatch strategies of the
-# differential oracle (coalesce-unsafe policies proving their fast-path
-# fallback). Workload size scales with CHECK_MATRIX_REQS.
+# differential oracle (every policy proving its row-run jumps against
+# per-burst dispatch). Workload size scales with CHECK_MATRIX_REQS.
 CHECK_MATRIX_REQS="${CHECK_MATRIX_REQS:-200}" \
     go test -race -count=1 -run 'TestPolicyDeviceMatrix$' ./internal/check/
 echo "ci: policy x device matrix OK"

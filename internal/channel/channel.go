@@ -6,9 +6,9 @@ package channel
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/controller"
-	"repro/internal/dram"
 	"repro/internal/fault"
 	"repro/internal/interconnect"
 	"repro/internal/mapping"
@@ -41,11 +41,13 @@ type Channel struct {
 	queue *controller.ReorderQueue
 	link  interconnect.Link
 	inj   *fault.ChannelInjector // nil = fault-free (the fast path)
-	geom  dram.Geometry          // the controller's, cached for run walks
-	// coalesce sends runs to the controller's arithmetic row walk: set for
-	// a fault-free, in-order channel under a coalesce-safe policy whose
-	// probe, if any, synthesizes coalesced events.
-	coalesce bool
+	// Run-walk constants from the controller's geometry, whose
+	// dimensions are powers of two (dram.Geometry.Validate; a burst
+	// length divides the power-of-two column count), so the walk shifts
+	// and masks instead of dividing.
+	columns    int
+	burstShift uint // log2 of the burst length in columns
+	burstBytes int64
 }
 
 // New builds a channel.
@@ -67,14 +69,15 @@ func New(cfg Config) (*Channel, error) {
 		// none.
 		depth = min
 	}
+	g := cfg.Controller.Speed.Geometry
 	return &Channel{
-		ctl:   ctl,
-		queue: controller.NewReorderQueue(ctl, depth),
-		link:  cfg.DRAMLink,
-		inj:   cfg.Faults,
-		geom:  cfg.Controller.Speed.Geometry,
-		coalesce: cfg.Faults == nil && depth == 0 && ctl.CoalesceSafe() &&
-			(!ctl.HasProbe() || ctl.SynthCoalesced()),
+		ctl:        ctl,
+		queue:      controller.NewReorderQueue(ctl, depth),
+		link:       cfg.DRAMLink,
+		inj:        cfg.Faults,
+		columns:    g.Columns,
+		burstShift: uint(bits.TrailingZeros(uint(g.BurstLength))),
+		burstBytes: g.BurstBytes(),
 	}, nil
 }
 
@@ -128,14 +131,13 @@ func (ch *Channel) AccessStream(write bool, local int64, stream int, arrival int
 // per-burst completion cycle, bit-identical to calling Access once per burst
 // in address order.
 //
-// With an in-order, fault-free channel under a coalesce-safe policy,
-// unobserved or synthesizing its probe events, the run is handed to the
-// controller's coalesced fast path (see controller.AccessRun). Any other
-// fault-free run — a reorder window, a policy that has not declared
-// coalesce-safety, or a probe without synthesis — walks the run row by
-// row: one decode and stream remap per row segment, then one queue access
-// per burst, so the scheduler, the policy state and the event stream see
-// exactly the per-burst sequence.
+// A fault-free run with a burst-aligned start walks row by row: one decode
+// and stream remap per row segment, handed to the reorder window's row
+// entry (controller.ReorderQueue.AccessRow) as a location and a burst
+// count, with one link delivery for the run and one completion on the
+// latest burst. The window and the controller then serve the segment in
+// arithmetic jumps wherever the schedule is provably periodic, for every
+// policy, and burst by burst elsewhere.
 // A fault stream (retries draw per burst), or an unaligned start address
 // the row walk cannot count whole bursts from, falls back to calling
 // AccessStream once per burst.
@@ -144,9 +146,7 @@ func (ch *Channel) AccessRun(write bool, local int64, bursts int, arrival int64)
 }
 
 // AccessRunStream is AccessRun with the requester's stream identity; every
-// burst of the run is attributed to the stream. The coalesced fast path only
-// engages for coalesce-safe policies, whose stream remap is the identity, so
-// stream attribution is never lost to coalescing.
+// burst of the run is attributed to the stream.
 func (ch *Channel) AccessRunStream(write bool, local int64, bursts int, stream int, arrival int64) int64 {
 	if bursts <= 1 {
 		if bursts < 1 {
@@ -154,9 +154,8 @@ func (ch *Channel) AccessRunStream(write bool, local int64, bursts int, stream i
 		}
 		return ch.AccessStream(write, local, stream, arrival)
 	}
-	g := &ch.geom
-	burstBytes := g.BurstBytes()
-	if ch.inj != nil || (!ch.coalesce && local%burstBytes != 0) {
+	burstBytes := ch.burstBytes
+	if ch.inj != nil || local&(burstBytes-1) != 0 {
 		var end int64
 		for i := 0; i < bursts; i++ {
 			if e := ch.AccessStream(write, local, stream, arrival); e > end {
@@ -171,24 +170,17 @@ func (ch *Channel) AccessRunStream(write bool, local int64, bursts int, stream i
 	}
 	at := ch.link.Deliver(arrival)
 	var end int64
-	if ch.coalesce {
-		end = ch.ctl.AccessRun(write, local, bursts, at)
-	} else {
-		for bursts > 0 {
-			loc := ch.ctl.MapStream(stream, ch.decode(local))
-			n := (g.Columns - loc.Column) / g.BurstLength // bursts left in this row
-			if n > bursts {
-				n = bursts
-			}
-			for i := 0; i < n; i++ {
-				if e := ch.queue.Access(write, loc, at); e > end {
-					end = e
-				}
-				loc.Column += g.BurstLength
-			}
-			local += int64(n) * burstBytes
-			bursts -= n
+	for bursts > 0 {
+		loc := ch.ctl.MapStream(stream, ch.decode(local))
+		n := (ch.columns - loc.Column) >> ch.burstShift // bursts left in this row
+		if n > bursts {
+			n = bursts
 		}
+		if e := ch.queue.AccessRow(write, loc, n, at); e > end {
+			end = e
+		}
+		local += int64(n) * burstBytes
+		bursts -= n
 	}
 	if write {
 		return end

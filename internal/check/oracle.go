@@ -1,12 +1,12 @@
 // The differential oracle replays one request stream through the
 // simulator's two dispatch strategies — per-burst (the reference) and
 // coalesced — and diffs the full per-channel command streams, not just the
-// end statistics. The coalesced arm runs with SynthCoalescedEvents so the
-// fast path stays engaged while still emitting its arithmetic
-// reconstruction of the per-burst events (open page), or dispatches whole
-// per-channel runs through the channel's row walk (every other policy);
-// any divergence in an event field, an event count or a result field is a
-// bug in one of the paths.
+// end statistics. The coalesced arm runs with SynthCoalescedEvents so
+// whole per-channel runs take the row walk and its arithmetic jumps (the
+// open-row recurrence, the closed-page ACT period and the reorder window's
+// run continuation) while still emitting their reconstruction of the
+// per-burst events; any divergence in an event field, an event count or a
+// result field is a bug in one of the paths.
 package check
 
 import (

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/channel"
 	"repro/internal/check"
 	"repro/internal/controller"
 	"repro/internal/mapping"
@@ -154,10 +155,10 @@ func TestRegressionSelfRefreshEntryPrecharges(t *testing.T) {
 // coalesced walk computed zero same-row bursts and made no progress. The
 // unaligned case now takes the per-burst path and must match it exactly.
 func TestRegressionUnalignedRunTerminates(t *testing.T) {
-	cfg := controller.Config{
+	cfg := channel.Config{Controller: controller.Config{
 		Speed: speed400(t), Mux: mapping.RBC, Policy: controller.OpenPage, PowerDown: true,
-	}
-	c, err := controller.New(cfg)
+	}}
+	c, err := channel.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,18 +171,21 @@ func TestRegressionUnalignedRunTerminates(t *testing.T) {
 		t.Fatal("AccessRun hung on a burst-unaligned address")
 	}
 
-	ref, err := controller.New(cfg)
+	ref, err := channel.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	burstBytes := cfg.Speed.Geometry.BurstBytes()
+	burstBytes := cfg.Controller.Speed.Geometry.BurstBytes()
 	var want int64
 	for i := int64(0); i < 3; i++ {
-		if e := ref.AccessAddr(false, 8+i*burstBytes, 0); e > want {
+		if e := ref.Access(false, 8+i*burstBytes, 0); e > want {
 			want = e
 		}
 	}
 	if end != want {
 		t.Errorf("unaligned AccessRun end = %d, per-burst reference = %d", end, want)
+	}
+	if gs, ws := c.Stats(), ref.Stats(); gs != ws {
+		t.Errorf("unaligned AccessRun stats diverged:\ngot:  %+v\nwant: %+v", gs, ws)
 	}
 }

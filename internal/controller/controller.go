@@ -92,12 +92,12 @@ type Config struct {
 	// controller processes (see internal/probe). Nil — the default —
 	// keeps the hot path event-free.
 	Probe probe.Sink
-	// SynthCoalescedEvents keeps the coalesced fast path (AccessRun) active
-	// with a probe attached: same-row jumps synthesize the per-burst event
+	// SynthCoalescedEvents keeps the row-run jumps (see jumpRow) active
+	// with a probe attached: jumped bursts synthesize the per-burst event
 	// groups arithmetically, producing a stream identical event for event
 	// to the per-burst reference path (the internal/check differential
 	// oracle asserts this). Testing/oracle knob; ordinary observation uses
-	// the per-burst fallback and pays nothing for this field.
+	// the exact path and pays nothing for this field.
 	SynthCoalescedEvents bool
 	// Channel tags emitted events with this channel index.
 	Channel int
@@ -116,6 +116,10 @@ type Controller struct {
 	pol    Policy // resolved from cfg.Policy in New; stateless singleton
 	mapper mapping.BankMapper
 	banks  []bankState
+	// autoPre caches pol.AutoPrecharge(); exact is set when a probe
+	// without event synthesis or a fault stream rules out row jumps.
+	autoPre bool
+	exact   bool
 
 	cmdClock      int64 // next free command-bus cycle
 	busFreeAt     int64 // first cycle the data bus is free
@@ -190,6 +194,9 @@ func New(cfg Config) (*Controller, error) {
 		banks:  make([]bankState, cfg.Speed.Geometry.Banks),
 		probe:  cfg.Probe,
 		chID:   int32(cfg.Channel),
+
+		autoPre: pol.AutoPrecharge(),
+		exact:   (cfg.Probe != nil && !cfg.SynthCoalescedEvents) || cfg.Faults != nil,
 	}
 	c.refi = cfg.Speed.REFI
 	c.nextRefreshAt = cfg.Speed.REFI
@@ -211,12 +218,6 @@ func (c *Controller) Config() Config { return c.cfg }
 // through EmitEvent should guard with it so the disabled path stays free
 // of event construction.
 func (c *Controller) HasProbe() bool { return c.probe != nil }
-
-// SynthCoalesced reports whether the controller synthesizes per-burst
-// events on the coalesced path (see Config.SynthCoalescedEvents); the
-// channel keeps handing runs to AccessRun then even though a probe is
-// attached.
-func (c *Controller) SynthCoalesced() bool { return c.cfg.SynthCoalescedEvents }
 
 // EmitEvent forwards a channel-level event (enqueue/complete) into the
 // controller's probe stream. No-op without a sink.
@@ -621,7 +622,7 @@ func (c *Controller) perform(write bool, loc mapping.Location, earliest, arrival
 		c.st.BusyCycles = dataEnd
 	}
 
-	if c.pol.AutoPrecharge() {
+	if c.autoPre {
 		// Auto-precharge: the bank closes itself once its restore and
 		// recovery windows elapse; no explicit PRE command is spent.
 		t := max64(b.preReady, dataEnd)
@@ -677,174 +678,213 @@ func (c *Controller) AccessAddr(write bool, local int64, arrival int64) int64 {
 	return c.Access(write, c.mapper.Decode(local), arrival)
 }
 
-// AccessRun performs a run of sequential same-direction bursts starting at
-// the channel-local byte address, all sharing one arrival cycle — the shape
-// a channel-interleaved master transaction presents to each channel. The
-// returned cycle is the latest per-burst completion, exactly as if Access
-// had been called once per burst in address order.
-//
-// When the configuration allows (open page, no probe, no faults, and no
-// posted-write buffering for writes), same-row stretches are advanced
-// arithmetically instead of burst by burst: after the first burst of a row
-// streak the command issue time provably advances by exactly BurstCycles per
-// burst (the data bus is the only binding constraint), so the remaining
-// bursts collapse into O(1) state updates, capped so that any due refresh
-// still fires on the identical cycle. Any other configuration falls back to
-// the per-burst path, so results are bit-identical either way.
-func (c *Controller) AccessRun(write bool, local int64, bursts int, arrival int64) int64 {
-	synth := c.probe != nil && c.cfg.SynthCoalescedEvents
-	if bursts <= 1 {
-		if bursts < 1 {
-			return 0
-		}
-		return c.accessOne(write, c.mapper.Decode(local), arrival, synth)
+// queueEvents describes the reorder-queue events that bracket each burst a
+// same-row run hands the controller: the enqueue of the burst arriving (its
+// bank and arrival, and the window occupancy after it entered) and the
+// completion of the burst issued (the occupancy after it left). The depth-0
+// window is occupancy 1 on enqueue and 0 on completion.
+type queueEvents struct {
+	enqBank   int32
+	enqAt     int64
+	enqDepth  int32
+	doneDepth int32
+}
+
+// accessOne performs one burst through the exact path, bracketed by its
+// queue events when a probe is attached.
+func (c *Controller) accessOne(write bool, loc mapping.Location, arrival int64, ev queueEvents) int64 {
+	if c.probe == nil {
+		return c.Access(write, loc, arrival)
 	}
-	burstBytes := c.cfg.Speed.Geometry.BurstBytes()
-	if (c.probe != nil && !synth) || c.cfg.Faults != nil || !c.pol.CoalesceSafe() ||
-		(write && c.cfg.WriteBufferDepth > 0) || local%burstBytes != 0 {
-		// Per-burst reference path. Any policy that has not explicitly
-		// declared coalesce-safety lands here: the arithmetic row walk
-		// below reproduces the pure open-page schedule only, so
-		// reordering, auto-precharge and bank-remapping policies all
-		// fall back conservatively. An unaligned start address
-		// (reachable only through the public API — memsys dispatches
-		// burst-aligned runs) must land here too: the row walk counts
-		// whole bursts per row and would make no progress on a row tail
-		// shorter than one burst.
-		var end int64
-		for i := 0; i < bursts; i++ {
-			if e := c.accessOne(write, c.mapper.Decode(local), arrival, synth); e > end {
-				end = e
-			}
-			local += burstBytes
-		}
-		return end
-	}
-	g := c.cfg.Speed.Geometry
-	var end int64
-	for bursts > 0 {
-		loc := c.mapper.Decode(local)
-		n := (g.Columns - loc.Column) / g.BurstLength // bursts left in this row
-		if n > bursts {
-			n = bursts
-		}
-		if e := c.accessRow(write, loc, n, arrival, synth); e > end {
-			end = e
-		}
-		local += int64(n) * burstBytes
-		bursts -= n
-	}
+	c.emitEv(probe.Event{Kind: probe.KindEnqueue, Bank: ev.enqBank, At: ev.enqAt, End: ev.enqAt, Depth: ev.enqDepth})
+	end := c.Access(write, loc, arrival)
+	c.emitComplete(int32(loc.Bank), end, arrival, ev.doneDepth)
 	return end
 }
 
-// accessOne performs one burst, bracketing it with the enqueue/complete
-// events the channel's depth-0 queue wrapper would emit when synth is set —
-// the coalesced path bypasses the queue, so the synthesized stream supplies
-// them to stay comparable with the per-burst reference stream.
-func (c *Controller) accessOne(write bool, loc mapping.Location, arrival int64, synth bool) int64 {
-	if !synth {
-		return c.Access(write, loc, arrival)
-	}
-	c.emitEv(probe.Event{Kind: probe.KindEnqueue, Bank: int32(loc.Bank), At: arrival, End: arrival, Depth: 1})
-	end := c.Access(write, loc, arrival)
+// emitComplete emits the queue's completion event for a burst that arrived
+// at arrival and finished at end.
+func (c *Controller) emitComplete(bank int32, end, arrival int64, depth int32) {
 	lat := end - arrival
 	if lat < 0 {
 		lat = 0
 	}
-	c.emitEv(probe.Event{Kind: probe.KindComplete, Bank: int32(loc.Bank), At: end, End: end, Aux: lat})
+	c.emitEv(probe.Event{Kind: probe.KindComplete, Bank: bank, At: end, End: end, Aux: lat, Depth: depth})
+}
+
+// accessRow serves n >= 1 sequential bursts inside one row, all arriving at
+// arrival, for the in-order (depth-0) window: the first burst runs through
+// the full Access path (wake, refresh, row transition, turnaround), and the
+// rest are applied in arithmetic jumps wherever jumpRow proves the schedule
+// periodic, falling back to the exact path burst by burst elsewhere. It
+// returns the latest of the n completions (a posted write completes at
+// acceptance, the write that fills the buffer at the drain's end),
+// bit-identical to n Access calls.
+func (c *Controller) accessRow(write bool, loc mapping.Location, n int, arrival int64) int64 {
+	ev := queueEvents{enqBank: int32(loc.Bank), enqAt: arrival, enqDepth: 1}
+	end := c.accessOne(write, loc, arrival, ev)
+	for left := int64(n - 1); left > 0; {
+		if m, e := c.jumpRow(write, loc, arrival, left, ev); m > 0 {
+			end = max64(end, e)
+			left -= m
+			continue
+		}
+		end = max64(end, c.accessOne(write, loc, arrival, ev))
+		left--
+	}
 	return end
 }
 
-// accessRow serves n sequential bursts inside one row. The first burst runs
-// through the full Access path (wake, refresh, row transition, turnaround);
-// the rest are row hits whose issue times advance by exactly BurstCycles, so
-// they are applied as bulk state updates, falling back to per-burst Access
-// whenever a refresh would become due mid-streak.
-func (c *Controller) accessRow(write bool, loc mapping.Location, n int, arrival int64, synth bool) int64 {
-	s := &c.cfg.Speed
-	end := c.accessOne(write, loc, arrival, synth)
-	remaining := int64(n - 1)
-	b := &c.banks[loc.Bank]
-	for remaining > 0 {
-		// After the streak's previous burst issued at t0 = cmdClock-1, the
-		// j-th further same-row burst issues at t0 + j*BurstCycles: its
-		// candidate is max(arrival, rdwrReady, busFreeAt-CL, cmdClock), and
-		// t0 already dominates arrival and rdwrReady while busFreeAt-CL
-		// equals t0+BurstCycles. The only per-burst side effect that can
-		// interrupt the recurrence is a due refresh, checked against the
-		// command clock — cap the jump so the first burst whose refresh
-		// check would fire is executed by the exact path instead.
-		m := remaining
-		if !c.cfg.RefreshDisabled {
-			slack := c.nextRefreshAt - c.cmdClock - 1
-			if slack < 0 {
-				m = 0
-			} else if ext := slack/s.BurstCycles + 1; ext < m {
-				m = ext
-			}
-		}
-		if m <= 0 {
-			end = c.accessOne(write, loc, arrival, synth)
-			remaining--
-			continue
-		}
-		t0 := c.cmdClock - 1
-		t := t0 + m*s.BurstCycles
-		var dataEnd int64
-		if write {
-			dataEnd = t + s.CWL + s.BurstCycles
-			c.lastWrDataEnd = dataEnd
-			b.preReady = max64(b.preReady, dataEnd+s.WR)
-			c.st.Writes += m
-			c.st.WriteBusCycles += m * s.BurstCycles
-		} else {
-			dataEnd = t + s.CL + s.BurstCycles
-			c.lastRdDataEnd = dataEnd
-			b.preReady = max64(b.preReady, t+s.RTP)
-			c.st.Reads += m
-			c.st.ReadBusCycles += m * s.BurstCycles
-		}
-		if synth {
-			// Reconstruct the per-burst event groups the reference path
-			// would emit for the jumped bursts: the j-th burst issues at
-			// t0 + j*BurstCycles, is a row hit, and completes one data
-			// burst later. Raw timestamps are identical to the reference
-			// path's, and emitEv applies the same monotonic clamp, so the
-			// streams match event for event.
-			kind := probe.KindRead
-			lead := s.CL
-			if write {
-				kind = probe.KindWrite
-				lead = s.CWL
-			}
-			for j := int64(1); j <= m; j++ {
-				tj := t0 + j*s.BurstCycles
-				de := tj + lead + s.BurstCycles
-				c.emitEv(probe.Event{Kind: probe.KindEnqueue, Bank: int32(loc.Bank), At: arrival, End: arrival, Depth: 1})
-				c.emitEv(probe.Event{Kind: probe.KindRowHit, Bank: int32(loc.Bank), Row: int32(loc.Row), At: tj, End: tj})
-				c.emitEv(probe.Event{Kind: kind, Bank: int32(loc.Bank), Row: int32(loc.Row), At: tj, End: de, Aux: s.BurstCycles})
-				lat := de - arrival
-				if lat < 0 {
-					lat = 0
-				}
-				c.emitEv(probe.Event{Kind: probe.KindComplete, Bank: int32(loc.Bank), At: de, End: de, Aux: lat})
-			}
-		}
-		c.cmdClock = t + 1
-		c.busFreeAt = dataEnd
-		b.lastDataEnd = dataEnd
-		b.accesses += m
-		c.st.RowHits += m
-		c.st.BusyCycles = dataEnd
-		if c.cfg.RecordLatency {
-			// Each jumped burst completes BurstCycles after the previous
-			// one and could first be attended at that previous completion.
-			c.lat.ObserveN(s.BurstCycles, m)
-		}
-		end = dataEnd
-		remaining -= m
+// jumpRow applies up to m of the next bursts of a same-row,
+// same-direction run, all arriving at arrival, in one arithmetic jump:
+// O(1) state updates, plus O(m) synthesized events when a probe is
+// attached (ev describes the queue events bracketing each burst). It
+// returns how many bursts it applied and the last one's data end; zero
+// sends the next burst through the exact path. The caller guarantees the
+// last burst performed was this run's previous burst, so its RD/WR is the
+// latest command, at t0 = cmdClock-1, and the j-th jumped burst's RD/WR
+// issues at t0 + j*p.
+//
+// Rows kept open (open page, bank partitioning, FR-FCFS): each further
+// burst is a row hit whose candidate is max(arrival, rdwrReady,
+// busFreeAt-lead, cmdClock); the previous issue already dominates arrival
+// and rdwrReady, and busFreeAt-lead is one BurstCycles later, so p =
+// BurstCycles.
+//
+// Closed page: every burst is ACT then RD/WR with auto-precharge, so the
+// bank's next ACT waits for the precharge bound pre = max(tRC, tAP+tRP),
+// where tAP, the auto-precharge point after ACT, is the latest of tRAS,
+// tRCD+tRTP (reads) or tRCD+tCWL+BurstCycles+tWR (writes), and the data
+// end. With the ACT spaced by tRRD from the previous one and by one cycle
+// from the RD/WR command, p = max(pre, tRRD, tRCD+1), provided the state
+// is already steady: the last ACT was this bank's, its RD/WR issued at
+// ACT+tRCD, and the bank's next-ACT time is exactly ACT+pre. tFAW must not
+// bind: a jump is refused outright when tFAW > 4p, and the first three
+// jumped ACTs are checked against the activate history.
+//
+// Either way the count is capped so that a due refresh, checked against
+// the command clock before every burst, still fires on its exact cycle.
+// Probes without event synthesis, fault streams and posted writes keep the
+// exact path.
+func (c *Controller) jumpRow(write bool, loc mapping.Location, arrival, m int64, ev queueEvents) (int64, int64) {
+	if c.exact || (write && c.cfg.WriteBufferDepth > 0) || c.lastXferWrite != write {
+		return 0, 0
 	}
-	return end
+	s := &c.cfg.Speed
+	b := &c.banks[loc.Bank]
+	p := s.BurstCycles
+	if c.autoPre {
+		act := b.rdwrReady - s.RCD
+		lead, tap := s.CL, max64(s.RAS, s.RCD+s.RTP)
+		if write {
+			lead, tap = s.CWL, max64(s.RAS, s.RCD+s.CWL+s.BurstCycles+s.WR)
+		}
+		pre := max64(s.RC, max64(tap, s.RCD+lead+s.BurstCycles)+s.RP)
+		if b.open || c.lastActAt != act || c.cmdClock-1 != act+s.RCD || b.actReady != act+pre {
+			return 0, 0
+		}
+		p = max64(pre, max64(s.RRD, s.RCD+1))
+		if s.FAW > p { // else no ACT at or before act can bind one after it
+			if s.FAW > 4*p {
+				return 0, 0
+			}
+			// ACT j of the jump looks back at ACT j-4: for j >= 4 that
+			// is a jumped ACT 4p earlier; for j <= 3, a recorded one.
+			for j := int64(1); j <= 3 && j <= m; j++ {
+				if c.actCount+j-1 >= 4 && c.actHist[(c.actHistIdx+int(j)-1)%4]+s.FAW > act+j*p {
+					m = j - 1
+					break
+				}
+			}
+		}
+	} else if !c.rowOpen(loc) {
+		return 0, 0
+	}
+	if !c.cfg.RefreshDisabled {
+		// Burst j's refresh check sees cmdClock + (j-1)p.
+		slack := c.nextRefreshAt - c.cmdClock - 1
+		if slack < 0 {
+			return 0, 0
+		}
+		if slack < (m-1)*p {
+			m = slack/p + 1
+		}
+	}
+	if m <= 0 {
+		return 0, 0
+	}
+	t0 := c.cmdClock - 1
+	t := t0 + m*p
+	kind, lead := probe.KindRead, s.CL
+	if write {
+		kind, lead = probe.KindWrite, s.CWL
+	}
+	dataEnd := t + lead + s.BurstCycles
+	if c.probe != nil {
+		// Reconstruct the per-burst event groups the exact path would
+		// emit. Raw timestamps are identical to the reference path's, and
+		// emitEv applies the same monotonic clamp, so the streams match
+		// event for event.
+		bank, row := int32(loc.Bank), int32(loc.Row)
+		for j := int64(1); j <= m; j++ {
+			tj := t0 + j*p
+			de := tj + lead + s.BurstCycles
+			c.emitEv(probe.Event{Kind: probe.KindEnqueue, Bank: ev.enqBank, At: ev.enqAt, End: ev.enqAt, Depth: ev.enqDepth})
+			if c.autoPre {
+				act := tj - s.RCD
+				c.emitEv(probe.Event{Kind: probe.KindActivate, Bank: bank, Row: row, At: act, End: tj})
+				c.emitEv(probe.Event{Kind: probe.KindRowMiss, Bank: bank, Row: row, At: act, End: act})
+			} else {
+				c.emitEv(probe.Event{Kind: probe.KindRowHit, Bank: bank, Row: row, At: tj, End: tj})
+			}
+			c.emitEv(probe.Event{Kind: kind, Bank: bank, Row: row, At: tj, End: de, Aux: s.BurstCycles})
+			c.emitComplete(bank, de, arrival, ev.doneDepth)
+		}
+	}
+	if c.autoPre {
+		// Every jumped burst activated the row; record the last four ACTs
+		// and the bank's windows after the last one, as activate and the
+		// auto-precharge would.
+		act := t - s.RCD
+		for j := max64(1, m-3); j <= m; j++ {
+			c.actHist[(c.actHistIdx+int(j)-1)%4] = act - (m-j)*p
+		}
+		c.actHistIdx = (c.actHistIdx + int(m%4)) % 4
+		c.actCount += m
+		c.lastActAt = act
+		b.rdwrReady = t
+		b.preReady = act + s.RAS
+		b.activates += m
+		c.st.Activates += m
+		c.st.RowMisses += m
+	} else {
+		c.st.RowHits += m
+	}
+	if write {
+		c.lastWrDataEnd = dataEnd
+		b.preReady = max64(b.preReady, dataEnd+s.WR)
+		c.st.Writes += m
+		c.st.WriteBusCycles += m * s.BurstCycles
+	} else {
+		c.lastRdDataEnd = dataEnd
+		b.preReady = max64(b.preReady, t+s.RTP)
+		c.st.Reads += m
+		c.st.ReadBusCycles += m * s.BurstCycles
+	}
+	if c.autoPre {
+		b.actReady = max64(t-s.RCD+s.RC, max64(b.preReady, dataEnd)+s.RP)
+	}
+	c.cmdClock = t + 1
+	c.busFreeAt = dataEnd
+	b.lastDataEnd = dataEnd
+	b.accesses += m
+	c.st.BusyCycles = max64(c.st.BusyCycles, dataEnd)
+	if c.cfg.RecordLatency {
+		// Each jumped burst completes p after the previous one and could
+		// first be attended at that previous completion.
+		c.lat.ObserveN(p, m)
+	}
+	return m, dataEnd
 }
 
 // Decode maps a channel-local byte address to its DRAM coordinate.

@@ -30,13 +30,6 @@ type Policy interface {
 	// auto-precharge once restore/recovery windows elapse (the
 	// closed-page recipe).
 	AutoPrecharge() bool
-	// CoalesceSafe declares that the policy's command stream for an
-	// aligned same-row run is the pure open-page schedule the coalesced
-	// fast path (AccessRun) reproduces arithmetically. Any policy that
-	// reorders, remaps banks or closes rows must return false; its runs
-	// then reach the controller one burst at a time (see
-	// channel.AccessRunStream), in the per-burst reference order.
-	CoalesceSafe() bool
 	// MinQueueDepth is the reorder window the policy requires when the
 	// configuration does not set one (0 = in-order is fine).
 	MinQueueDepth() int
@@ -44,6 +37,18 @@ type Policy interface {
 	// defer to the oldest. pending is in arrival order (oldest first), so
 	// the first match of a scan is the oldest match. The queue's
 	// anti-starvation bound overrides the choice after maxBypass bypasses.
+	//
+	// Contract: Pick returns the first row hit, else the first request
+	// whose bank is closed (policies may skip this tier), else -1. Every
+	// pending entry is a same-row run, so all its bursts match alike and
+	// a pick is always a run's head burst. Under the contract no request
+	// ahead of the pick can turn into a row hit when the pick issues:
+	// none ahead was a row hit; a row-hit pick leaves its bank's open row
+	// as it was; a closed-bank pick has nothing ahead on its bank (that
+	// request would have been the first closed-bank match); and the
+	// oldest has nothing ahead. Without an intervening refresh the pick's
+	// run is therefore picked again for its next burst, which is what
+	// lets the queue issue the run's continuation in one batch.
 	Pick(c *Controller, pending []queuedRequest) int
 	// Map rewrites a decoded location for the request's stream before it
 	// enters the queue (bank partitioning); identity for most policies.
@@ -120,14 +125,12 @@ func pickRowHitFirst(c *Controller, pending []queuedRequest) int {
 }
 
 // openPagePolicy is the paper's baseline: rows stay open, requests issue
-// row-hit-first then oldest, banks are shared by all streams. It is the
-// only policy whose schedule the coalesced fast path may reproduce.
+// row-hit-first then oldest, banks are shared by all streams.
 type openPagePolicy struct{}
 
 func (openPagePolicy) Kind() PagePolicy    { return OpenPage }
 func (openPagePolicy) Name() string        { return "open-page" }
 func (openPagePolicy) AutoPrecharge() bool { return false }
-func (openPagePolicy) CoalesceSafe() bool  { return true }
 func (openPagePolicy) MinQueueDepth() int  { return 0 }
 func (openPagePolicy) Pick(c *Controller, pending []queuedRequest) int {
 	return pickRowHitFirst(c, pending)
@@ -137,14 +140,13 @@ func (openPagePolicy) Map(c *Controller, stream int, loc mapping.Location) mappi
 }
 
 // closedPagePolicy auto-precharges after every access (the paper's
-// ablation). The schedule differs from open page on every row reuse, so it
-// is never coalesce-safe.
+// ablation): every burst activates its row, so a same-row run repeats with
+// the fixed ACT period the controller's row jump derives (see jumpRow).
 type closedPagePolicy struct{}
 
 func (closedPagePolicy) Kind() PagePolicy    { return ClosedPage }
 func (closedPagePolicy) Name() string        { return "closed-page" }
 func (closedPagePolicy) AutoPrecharge() bool { return true }
-func (closedPagePolicy) CoalesceSafe() bool  { return false }
 func (closedPagePolicy) MinQueueDepth() int  { return 0 }
 func (closedPagePolicy) Pick(c *Controller, pending []queuedRequest) int {
 	return pickRowHitFirst(c, pending)
@@ -156,14 +158,12 @@ func (closedPagePolicy) Map(c *Controller, stream int, loc mapping.Location) map
 // frfcfsPolicy is first-ready FCFS over the reorder window: row hits
 // first, then the oldest request whose bank is closed (its activate can
 // issue without spending a precharge), then the oldest outright. It opens
-// a DefaultFRFCFSDepth window even when the configuration sets none, and
-// reordering makes it unconditionally coalesce-unsafe.
+// a DefaultFRFCFSDepth window even when the configuration sets none.
 type frfcfsPolicy struct{}
 
 func (frfcfsPolicy) Kind() PagePolicy    { return FRFCFS }
 func (frfcfsPolicy) Name() string        { return "frfcfs" }
 func (frfcfsPolicy) AutoPrecharge() bool { return false }
-func (frfcfsPolicy) CoalesceSafe() bool  { return false }
 func (frfcfsPolicy) MinQueueDepth() int  { return DefaultFRFCFSDepth }
 func (frfcfsPolicy) Pick(c *Controller, pending []queuedRequest) int {
 	if best := pickRowHitFirst(c, pending); best >= 0 {
@@ -183,14 +183,13 @@ func (frfcfsPolicy) Map(c *Controller, stream int, loc mapping.Location) mapping
 // bankPartitionPolicy assigns each client stream to a two-bank group
 // (round-robin on first sight), confining its row-buffer footprint so
 // streams cannot thrash each other's open rows. Selection order matches
-// the baseline; the remap alone makes it coalesce-unsafe (the fast path's
-// arithmetic row walk decodes unmapped addresses).
+// the baseline; the channel applies the remap once per row segment, so a
+// run's bursts reach the controller already on their partitioned bank.
 type bankPartitionPolicy struct{}
 
 func (bankPartitionPolicy) Kind() PagePolicy    { return BankPartition }
 func (bankPartitionPolicy) Name() string        { return "bank-partition" }
 func (bankPartitionPolicy) AutoPrecharge() bool { return false }
-func (bankPartitionPolicy) CoalesceSafe() bool  { return false }
 func (bankPartitionPolicy) MinQueueDepth() int  { return 0 }
 func (bankPartitionPolicy) Pick(c *Controller, pending []queuedRequest) int {
 	return pickRowHitFirst(c, pending)
@@ -240,7 +239,3 @@ func (c *Controller) MapStream(stream int, loc mapping.Location) mapping.Locatio
 // MinQueueDepth returns the reorder window the controller's policy
 // requires when the configuration sets none.
 func (c *Controller) MinQueueDepth() int { return c.pol.MinQueueDepth() }
-
-// CoalesceSafe reports whether the policy declared its schedule safe for
-// the coalesced fast path.
-func (c *Controller) CoalesceSafe() bool { return c.pol.CoalesceSafe() }

@@ -1,11 +1,14 @@
 package controller
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/mapping"
+	"repro/internal/probe"
 )
 
 func TestReorderQueueDepthZeroIsInOrder(t *testing.T) {
@@ -118,10 +121,11 @@ func TestReorderQueueAntiStarvation(t *testing.T) {
 	}
 }
 
-// referenceQueue is the reorder window the arrival-ordered ReorderQueue
-// replaced, kept as the oracle it must reproduce exactly: pending in no
-// particular order (swap-remove), the oldest found by a minimum-seq scan,
-// and every policy's preference resolved to its minimum-seq match.
+// referenceQueue is the reorder window the run-holding, arrival-ordered
+// ReorderQueue replaced, kept as the oracle it must reproduce exactly: one
+// burst per entry, pending in no particular order (swap-remove), the oldest
+// found by a minimum-seq scan, and every policy's preference resolved to
+// its minimum-seq match. It emits the same enqueue/complete events.
 type referenceQueue struct {
 	ctl      *Controller
 	depth    int
@@ -152,8 +156,10 @@ func referencePick(c *Controller, pending []queuedRequest) int {
 }
 
 func (q *referenceQueue) access(write bool, loc mapping.Location, arrival int64) {
-	q.pending = append(q.pending, queuedRequest{write: write, loc: loc, arrival: arrival, seq: q.nextSeq})
+	q.pending = append(q.pending, queuedRequest{write: write, loc: loc, arrival: arrival, seq: q.nextSeq, n: 1})
 	q.nextSeq++
+	q.ctl.EmitEvent(probe.Event{Kind: probe.KindEnqueue, Bank: int32(loc.Bank),
+		At: arrival, End: arrival, Depth: int32(len(q.pending))})
 	if len(q.pending) >= q.depth {
 		q.issueBest()
 	}
@@ -183,7 +189,13 @@ func (q *referenceQueue) issueBest() {
 	q.pending[best] = q.pending[len(q.pending)-1]
 	q.pending = q.pending[:len(q.pending)-1]
 	q.issued = append(q.issued, r.seq)
-	q.ctl.Access(r.write, r.loc, r.arrival)
+	end := q.ctl.Access(r.write, r.loc, r.arrival)
+	lat := end - r.arrival
+	if lat < 0 {
+		lat = 0
+	}
+	q.ctl.EmitEvent(probe.Event{Kind: probe.KindComplete, Bank: int32(r.loc.Bank),
+		At: end, End: end, Aux: lat, Depth: int32(len(q.pending))})
 }
 
 func (q *referenceQueue) flush() int64 {
@@ -193,36 +205,48 @@ func (q *referenceQueue) flush() int64 {
 	return q.ctl.Flush()
 }
 
-// issuedSeq reports which request the last window operation issued: the
-// one seq in before (plus the newest request, when one was just enqueued)
-// that is no longer pending, or -1 when nothing issued.
-func issuedSeq(q *ReorderQueue, before []int64) int64 {
-	left := make(map[int64]bool, len(q.pending))
-	for _, r := range q.pending {
-		left[r.seq] = true
-	}
-	for _, seq := range before {
-		if !left[seq] {
-			return seq
-		}
-	}
-	return -1
-}
-
+// pendingSeqs lists the seq of every pending burst, expanding each run.
 func pendingSeqs(q *ReorderQueue) []int64 {
 	var seqs []int64
 	for _, r := range q.pending {
-		seqs = append(seqs, r.seq)
+		for j := int64(0); j < r.n; j++ {
+			seqs = append(seqs, r.seq+j)
+		}
 	}
 	return seqs
 }
 
-// TestReorderQueueMatchesReference drives the arrival-ordered window and
-// the minimum-seq reference with the same seeded location streams, for
-// every policy and several depths, and requires the same issue order, the
-// same channel statistics and the same makespan. The streams concentrate
-// on one hot row per bank so row hits keep overtaking conflicts and the
-// anti-starvation bound trips.
+// issuedSeqs reports which bursts a window operation issued: the seqs in
+// before (the pending bursts plus those the operation enqueued) that are no
+// longer pending, in ascending order.
+func issuedSeqs(q *ReorderQueue, before []int64) []int64 {
+	left := make(map[int64]bool, q.count)
+	for _, seq := range pendingSeqs(q) {
+		left[seq] = true
+	}
+	var out []int64
+	for _, seq := range before {
+		if !left[seq] {
+			out = append(out, seq)
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+// TestReorderQueueMatchesReference drives the run-holding window through
+// its row entry and the one-burst-per-entry minimum-seq reference with the
+// same seeded streams, for every policy and several depths. Each operation
+// must issue the same bursts as the reference's per-burst replay of it,
+// the flush must issue them in the same order, and the probe event
+// streams (with synthesized events for batched continuations), channel
+// statistics and makespan must be identical; the event stream pins the
+// issue order inside an operation, since every issue emits its bank, row,
+// cycles and latency. The streams are same-row runs of up to 40 bursts,
+// concentrated on one hot row per bank, so runs keep continuing past
+// older conflicts and the anti-starvation bound trips mid-run; every fifth
+// run turns back to the previous run's row in the opposite direction with
+// the same arrival, the back-to-back case a run must never absorb.
 func TestReorderQueueMatchesReference(t *testing.T) {
 	forced := 0
 	for _, pol := range Policies() {
@@ -231,36 +255,61 @@ func TestReorderQueueMatchesReference(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed*100 + int64(depth)))
 				cfg := defaultCfg(t)
 				cfg.Policy = pol
-				q := NewReorderQueue(newCtl(t, cfg), depth)
-				ref := &referenceQueue{ctl: newCtl(t, cfg), depth: depth}
-				var order []int64
+				var recs [2]probe.Recorder
+				run, refCfg := cfg, cfg
+				run.Probe, run.SynthCoalescedEvents, refCfg.Probe = &recs[0], true, &recs[1]
+				q := NewReorderQueue(newCtl(t, run), depth)
+				ref := &referenceQueue{ctl: newCtl(t, refCfg), depth: depth}
+				name := fmt.Sprintf("%v depth %d seed %d", pol, depth, seed)
+				var loc mapping.Location
+				var write bool
 				arrival := int64(0)
-				for i := 0; i < 3000; i++ {
-					arrival += rng.Int63n(12)
-					loc := mapping.Location{Bank: rng.Intn(4), Column: 4 * rng.Intn(128)}
-					if rng.Intn(10) == 0 {
-						loc.Row = 1 + rng.Intn(64) // a conflict with the hot row 0
+				for i := 0; i < 400; i++ {
+					if i > 0 && rng.Intn(5) == 0 {
+						write = !write
+					} else {
+						arrival += rng.Int63n(12)
+						loc = mapping.Location{Bank: rng.Intn(4), Column: 4 * rng.Intn(128)}
+						if rng.Intn(10) == 0 {
+							loc.Row = 1 + rng.Intn(64) // a conflict with the hot row 0
+						}
+						write = rng.Intn(4) == 0
 					}
-					write := rng.Intn(4) == 0
-					before := append(pendingSeqs(q), q.nextSeq)
-					q.Access(write, loc, arrival)
-					if seq := issuedSeq(q, before); seq >= 0 {
-						order = append(order, seq)
-					}
-					ref.access(write, loc, arrival)
-				}
-				for q.Pending() > 0 {
+					n := 1 + rng.Intn(40)
 					before := pendingSeqs(q)
+					for j := int64(0); j < int64(n); j++ {
+						before = append(before, q.nextSeq+j)
+					}
+					from := len(ref.issued)
+					if n == 1 && rng.Intn(2) == 0 {
+						q.Access(write, loc, arrival)
+					} else {
+						q.AccessRow(write, loc, n, arrival)
+					}
+					for j := 0; j < n; j++ {
+						ref.access(write, loc, arrival)
+					}
+					want := append([]int64(nil), ref.issued[from:]...)
+					slices.Sort(want)
+					if got := issuedSeqs(q, before); !slices.Equal(got, want) {
+						t.Fatalf("%s run %d: issued %v, reference issued %v", name, i, got, want)
+					}
+				}
+				from := len(ref.issued)
+				want := ref.flush()
+				var order []int64
+				for q.Pending() > 0 {
 					q.issueBest()
-					order = append(order, issuedSeq(q, before))
+					order = append(order, q.last.seq-1)
 				}
-				got, want := q.ctl.Flush(), ref.flush()
-				if !reflect.DeepEqual(order, ref.issued) {
-					t.Fatalf("%v depth %d seed %d: issue order diverged from the reference", pol, depth, seed)
+				if got := q.ctl.Flush(); got != want || !slices.Equal(order, ref.issued[from:]) {
+					t.Fatalf("%s: flush issued %v (makespan %d), reference %v (%d)", name, order, got, ref.issued[from:], want)
 				}
-				if gs, ws := q.ctl.Stats(), ref.ctl.Stats(); gs != ws || got != want {
-					t.Fatalf("%v depth %d seed %d: stats/makespan diverged:\ngot:  %+v (%d)\nwant: %+v (%d)",
-						pol, depth, seed, gs, got, ws, want)
+				if gs, ws := q.ctl.Stats(), ref.ctl.Stats(); gs != ws {
+					t.Fatalf("%s: stats diverged:\ngot:  %+v\nwant: %+v", name, gs, ws)
+				}
+				if !reflect.DeepEqual(recs[0].Events, recs[1].Events) {
+					t.Fatalf("%s: probe streams diverged (%d vs %d events)", name, len(recs[0].Events), len(recs[1].Events))
 				}
 				forced += ref.forced
 			}

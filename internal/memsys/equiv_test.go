@@ -25,7 +25,7 @@ func TestDispatchEquivalence(t *testing.T) {
 	// index enumerates it deterministically), with the rest of the
 	// configuration and the request stream randomized per trial. Every
 	// combination must agree across both dispatch variants — in
-	// particular, the coalesce-unsafe policies' per-channel row walks must
+	// particular, every policy's per-channel row walk and its jumps must
 	// reproduce the per-burst reference schedule.
 	policies := controller.Policies()
 	devices := dram.Devices()

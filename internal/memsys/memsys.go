@@ -328,7 +328,9 @@ func (r Result) BusUtilization() float64 {
 // bursts form one contiguous local run per channel; on an unobserved,
 // fault-free system those runs are computed arithmetically and handed to
 // channel.AccessRunStream in one call per channel instead of once per
-// burst, whatever the scheduling policy. With probes (unless their events
+// burst, whatever the scheduling policy; the channel, window and
+// controller then advance provably periodic stretches of a row in O(1)
+// (see controller.ReorderQueue.AccessRow). With probes (unless their events
 // are synthesized) or faults attached, or NoCoalesce set, dispatch stays
 // per-burst, so event streams and fault decision draws are untouched.
 // Either way the per-channel op order — and therefore every reported
@@ -341,9 +343,9 @@ func (s *System) Run(src Source) (Result, error) {
 	burst := s.cfg.Geometry.BurstBytes()
 	var last int64
 
-	// Run dispatch needs no policy check: the channel itself picks the
-	// controller's arithmetic row walk (coalesce-safe policies) or its
-	// per-burst row walk (every other policy), with the stream attached.
+	// Run dispatch needs no policy check: every policy's runs go through
+	// the channel's row walk into the reorder window's row entry, with the
+	// stream attached.
 	coalesce := !s.cfg.NoCoalesce && s.inj == nil &&
 		(!s.observed() || s.cfg.SynthCoalescedEvents)
 
