@@ -16,6 +16,7 @@
 //	BenchmarkChannelScaling  -> the "close to 2x" scaling claim
 //	BenchmarkRawChannel      -> simulator throughput (engineering metric)
 //	BenchmarkPolicyRun       -> memsys.Run cost per scheduling policy
+//	BenchmarkFrameDispatch   -> frame source + memsys.Run cost per channel count
 //	BenchmarkSimulate        -> end-to-end point cost, uncached vs cached
 //	BenchmarkFullFormatMatrix-> whole-artifact cost, uncached vs cached
 //	BenchmarkGeometrySweep   -> extension G1 (device organization)
@@ -26,6 +27,7 @@
 package repro_test
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/controller"
@@ -449,6 +451,56 @@ func BenchmarkPolicyRun(b *testing.B) {
 				if _, err := sys.Run(memsys.NewSliceSource(reqs)); err != nil {
 					b.Fatal(err)
 				}
+			}
+		})
+	}
+}
+
+// BenchmarkFrameDispatch measures the dispatch front end together with the
+// load model feeding it: memsys.Run on one 1080p30 frame sampled at
+// fraction 0.02, open page at 400 MHz, on 1, 2, 4 and 8 channels, drawing
+// a fresh gen.Frame source on every iteration so the frame source's pacing
+// and address arithmetic are timed too (BenchmarkPolicyRun replays a
+// SliceSource on 2 channels and sees neither the source nor the channel
+// count). Throughput is payload bytes per second; ci.sh gates its
+// allocations against the "# allocs" entries in results/BENCH_FLOOR.
+func BenchmarkFrameDispatch(b *testing.B) {
+	w, err := core.WorkloadFor("1080p30")
+	if err != nil {
+		b.Fatal(err)
+	}
+	uc, err := usecase.New(w.Profile, usecase.DefaultParams())
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, channels := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("%dch", channels), func(b *testing.B) {
+			gen, err := load.New(uc, channels, dram.DefaultGeometry(), w.Load)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sys, err := memsys.New(memsys.PaperConfig(channels, 400*units.MHz))
+			if err != nil {
+				b.Fatal(err)
+			}
+			run := func() memsys.Result {
+				sys.Reset()
+				src, err := gen.Frame(0.02)
+				if err != nil {
+					b.Fatal(err)
+				}
+				res, err := sys.Run(src)
+				if err != nil {
+					b.Fatal(err)
+				}
+				return res
+			}
+			res := run()
+			b.SetBytes(res.BytesRead + res.BytesWritten)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run()
 			}
 		})
 	}

@@ -596,7 +596,7 @@ while [ -e "$bench_json" ]; do
     bench_json="$bench_stem-$n.json"
 done
 raw_out=$(go test -run '^$' \
-    -bench 'BenchmarkRawChannel$|BenchmarkPerBurstRun$|BenchmarkCoalescedRun$|BenchmarkSimulate$|BenchmarkSimulateCached$|BenchmarkFullFormatMatrix$|BenchmarkFullFormatMatrixCached$|BenchmarkAnalyticResult$|BenchmarkAutoSweep$|BenchmarkPolicyRun$' \
+    -bench 'BenchmarkRawChannel$|BenchmarkPerBurstRun$|BenchmarkCoalescedRun$|BenchmarkSimulate$|BenchmarkSimulateCached$|BenchmarkFullFormatMatrix$|BenchmarkFullFormatMatrixCached$|BenchmarkAnalyticResult$|BenchmarkAutoSweep$|BenchmarkPolicyRun$|BenchmarkFrameDispatch$' \
     -benchmem -benchtime "${BENCH_BENCHTIME:-0.5s}" -count "${BENCH_COUNT:-3}" .)
 echo "$raw_out"
 echo "$raw_out" | awk -v date="$(date +%Y-%m-%d)" '

@@ -131,16 +131,10 @@ func (ch *Channel) AccessStream(write bool, local int64, stream int, arrival int
 // per-burst completion cycle, bit-identical to calling Access once per burst
 // in address order.
 //
-// A fault-free run with a burst-aligned start walks row by row: one decode
-// and stream remap per row segment, handed to the reorder window's row
-// entry (controller.ReorderQueue.AccessRow) as a location and a burst
-// count, with one link delivery for the run and one completion on the
-// latest burst. The window and the controller then serve the segment in
-// arithmetic jumps wherever the schedule is provably periodic, for every
-// policy, and burst by burst elsewhere.
-// A fault stream (retries draw per burst), or an unaligned start address
-// the row walk cannot count whole bursts from, falls back to calling
-// AccessStream once per burst.
+// A fault-free run with a burst-aligned start is walked into row segments
+// (AppendRowSegments) and handed to AccessSegments. A fault stream (retries
+// draw per burst), or an unaligned start address the row walk cannot count
+// whole bursts from, falls back to calling AccessStream once per burst.
 func (ch *Channel) AccessRun(write bool, local int64, bursts int, arrival int64) int64 {
 	return ch.AccessRunStream(write, local, bursts, 0, arrival)
 }
@@ -154,33 +148,66 @@ func (ch *Channel) AccessRunStream(write bool, local int64, bursts int, stream i
 		}
 		return ch.AccessStream(write, local, stream, arrival)
 	}
-	burstBytes := ch.burstBytes
-	if ch.inj != nil || local&(burstBytes-1) != 0 {
+	if ch.inj != nil || local&(ch.burstBytes-1) != 0 {
 		var end int64
 		for i := 0; i < bursts; i++ {
 			if e := ch.AccessStream(write, local, stream, arrival); e > end {
 				end = e
 			}
-			local += burstBytes
+			local += ch.burstBytes
 		}
 		return end
 	}
+	return ch.AccessSegments(write, ch.AppendRowSegments(nil, local, bursts), stream, arrival)
+}
+
+// Segment is one row's share of a burst run: the decoded location of its
+// first burst and the number of sequential bursts that stay in that row.
+type Segment struct {
+	Loc    mapping.Location
+	Bursts int
+}
+
+// AppendRowSegments walks the run of bursts sequential bursts starting at
+// the burst-aligned channel-local byte address row by row, appending one
+// decoded Segment per row to dst. The walk depends only on the geometry
+// and multiplexing, so channels built from one configuration can share
+// its segments.
+func (ch *Channel) AppendRowSegments(dst []Segment, local int64, bursts int) []Segment {
+	for bursts > 0 {
+		loc := ch.decode(local)
+		n := (ch.columns - loc.Column) >> ch.burstShift // bursts left in this row
+		if n > bursts {
+			n = bursts
+		}
+		dst = append(dst, Segment{Loc: loc, Bursts: n})
+		local += int64(n) * ch.burstBytes
+		bursts -= n
+	}
+	return dst
+}
+
+// AccessSegments performs row segments from AppendRowSegments on behalf of
+// the stream, all arriving at arrival, and returns the latest per-burst
+// completion cycle, bit-identical to calling AccessStream once per burst.
+// Each segment takes the stream remap and then the reorder window's row
+// entry (controller.ReorderQueue.AccessRow) as a location and a burst
+// count, with one link delivery for the run and one completion on the
+// latest burst. The window and the controller then serve a segment in
+// arithmetic jumps wherever the schedule is provably periodic, for every
+// policy, and burst by burst elsewhere. The channel must be fault-free:
+// retries draw per burst, so a fault stream needs AccessRunStream.
+func (ch *Channel) AccessSegments(write bool, segs []Segment, stream int, arrival int64) int64 {
 	if arrival < 0 {
 		arrival = 0
 	}
 	at := ch.link.Deliver(arrival)
 	var end int64
-	for bursts > 0 {
-		loc := ch.ctl.MapStream(stream, ch.decode(local))
-		n := (ch.columns - loc.Column) >> ch.burstShift // bursts left in this row
-		if n > bursts {
-			n = bursts
-		}
-		if e := ch.queue.AccessRow(write, loc, n, at); e > end {
+	for i := range segs {
+		loc := ch.ctl.MapStream(stream, segs[i].Loc)
+		if e := ch.queue.AccessRow(write, loc, segs[i].Bursts, at); e > end {
 			end = e
 		}
-		local += int64(n) * burstBytes
-		bursts -= n
 	}
 	if write {
 		return end

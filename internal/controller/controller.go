@@ -113,7 +113,8 @@ type Config struct {
 // from the start of the simulation.
 type Controller struct {
 	cfg    Config
-	pol    Policy // resolved from cfg.Policy in New; stateless singleton
+	pol    Policy       // resolved from cfg.Policy in New; stateless singleton
+	remap  bankRemapper // pol when it remaps banks, else nil (identity)
 	mapper mapping.BankMapper
 	banks  []bankState
 	// autoPre caches pol.AutoPrecharge(); exact is set when a probe
@@ -187,9 +188,11 @@ func New(cfg Config) (*Controller, error) {
 	if cfg.RefreshPostpone < 0 {
 		return nil, fmt.Errorf("controller: negative refresh postponement %d", cfg.RefreshPostpone)
 	}
+	remap, _ := pol.(bankRemapper)
 	c := &Controller{
 		cfg:    cfg,
 		pol:    pol,
+		remap:  remap,
 		mapper: mapper,
 		banks:  make([]bankState, cfg.Speed.Geometry.Banks),
 		probe:  cfg.Probe,

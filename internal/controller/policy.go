@@ -9,8 +9,9 @@ import (
 )
 
 // Policy is the pluggable command-selection recipe behind the controller:
-// what happens to a row after an access, which pending request the reorder
-// window issues next, and how a stream's decoded location maps onto banks.
+// what happens to a row after an access and which pending request the
+// reorder window issues next. A policy that also maps a stream's decoded
+// location onto banks implements bankRemapper.
 // The paper's open-page/closed-page enum is two built-in implementations;
 // FR-FCFS ready-first reordering and per-client bank partitioning are the
 // first post-paper additions.
@@ -50,8 +51,13 @@ type Policy interface {
 	// run is therefore picked again for its next burst, which is what
 	// lets the queue issue the run's continuation in one batch.
 	Pick(c *Controller, pending []queuedRequest) int
-	// Map rewrites a decoded location for the request's stream before it
-	// enters the queue (bank partitioning); identity for most policies.
+}
+
+// bankRemapper is implemented by the policies that rewrite a decoded
+// location for the request's stream before it enters the queue (bank
+// partitioning). Every other policy leaves locations as decoded, and New
+// resolves once which kind the controller has.
+type bankRemapper interface {
 	Map(c *Controller, stream int, loc mapping.Location) mapping.Location
 }
 
@@ -135,9 +141,6 @@ func (openPagePolicy) MinQueueDepth() int  { return 0 }
 func (openPagePolicy) Pick(c *Controller, pending []queuedRequest) int {
 	return pickRowHitFirst(c, pending)
 }
-func (openPagePolicy) Map(c *Controller, stream int, loc mapping.Location) mapping.Location {
-	return loc
-}
 
 // closedPagePolicy auto-precharges after every access (the paper's
 // ablation): every burst activates its row, so a same-row run repeats with
@@ -150,9 +153,6 @@ func (closedPagePolicy) AutoPrecharge() bool { return true }
 func (closedPagePolicy) MinQueueDepth() int  { return 0 }
 func (closedPagePolicy) Pick(c *Controller, pending []queuedRequest) int {
 	return pickRowHitFirst(c, pending)
-}
-func (closedPagePolicy) Map(c *Controller, stream int, loc mapping.Location) mapping.Location {
-	return loc
 }
 
 // frfcfsPolicy is first-ready FCFS over the reorder window: row hits
@@ -175,9 +175,6 @@ func (frfcfsPolicy) Pick(c *Controller, pending []queuedRequest) int {
 		}
 	}
 	return -1
-}
-func (frfcfsPolicy) Map(c *Controller, stream int, loc mapping.Location) mapping.Location {
-	return loc
 }
 
 // bankPartitionPolicy assigns each client stream to a two-bank group
@@ -233,7 +230,10 @@ func (c *Controller) partitionMap(stream int, loc mapping.Location) mapping.Loca
 // before a location enters the reorder window so row-hit predicates see
 // the final coordinate.
 func (c *Controller) MapStream(stream int, loc mapping.Location) mapping.Location {
-	return c.pol.Map(c, stream, loc)
+	if c.remap == nil {
+		return loc
+	}
+	return c.remap.Map(c, stream, loc)
 }
 
 // MinQueueDepth returns the reorder window the controller's policy

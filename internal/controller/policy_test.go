@@ -63,3 +63,25 @@ func TestPickContract(t *testing.T) {
 		}
 	}
 }
+
+// TestOnlyBankPartitionRemaps pins what New resolves about the stream
+// remap: bank partitioning is the one policy that maps banks, so every
+// other policy's MapStream is the identity without a Policy call.
+func TestOnlyBankPartitionRemaps(t *testing.T) {
+	for _, pol := range Policies() {
+		cfg := defaultCfg(t)
+		cfg.Policy = pol
+		c := newCtl(t, cfg)
+		if got, want := c.remap != nil, pol == BankPartition; got != want {
+			t.Errorf("%v: remaps %v, want %v", pol, got, want)
+		}
+		moved := false
+		for stream := 0; stream < 4; stream++ {
+			loc := mapping.Location{Bank: stream % 4, Row: 7, Column: 12}
+			moved = moved || c.MapStream(stream, loc) != loc
+		}
+		if moved != (pol == BankPartition) {
+			t.Errorf("%v: MapStream moved a location %v, want %v", pol, moved, pol == BankPartition)
+		}
+	}
+}

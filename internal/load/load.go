@@ -313,14 +313,8 @@ func (g *Generator) Frame(fraction float64) (memsys.Source, error) {
 		for _, s := range st.streams {
 			sid := id
 			id++
-			bytes := int64(float64(s.bytes) * fraction)
-			if bytes == 0 {
-				continue
-			}
-			tiles := (bytes + s.run - 1) / s.run
-			cs.streams = append(cs.streams, cursor{stream: s, id: sid, bytes: bytes, tiles: tiles})
-			if tiles > cs.maxTiles {
-				cs.maxTiles = tiles
+			if bytes := int64(float64(s.bytes) * fraction); bytes > 0 {
+				cs.add(newCursor(s, sid, bytes, g.capacity))
 			}
 		}
 		if len(cs.streams) > 0 {
@@ -338,12 +332,19 @@ func (g *Generator) Frame(fraction float64) (memsys.Source, error) {
 
 // cursor tracks one stream's emission progress.
 type cursor struct {
-	stream  stream
-	id      int   // stable client identity (construction order)
-	bytes   int64 // possibly truncated by sampling
-	tiles   int64
-	emitted int64 // tiles emitted
-	pos     int64 // bytes emitted
+	stream stream
+	id     int   // stable client identity (construction order)
+	tiles  int64 // transactions this frame, possibly truncated by sampling
+	left   int64 // bytes not yet emitted
+	addr   int64 // next address: (stream.base + bytes emitted) mod the capacity
+	// acc is (rounds visited × tiles) mod the stage's maxTiles, the
+	// remainder of the Bresenham pacing (see frameSource.Next).
+	acc int64
+}
+
+// newCursor starts the stream at its base address; bytes > 0.
+func newCursor(s stream, id int, bytes, capacity int64) cursor {
+	return cursor{stream: s, id: id, tiles: (bytes + s.run - 1) / s.run, left: bytes, addr: s.base % capacity}
 }
 
 type cursorStage struct {
@@ -351,6 +352,14 @@ type cursorStage struct {
 	maxTiles int64
 	round    int64
 	idx      int
+}
+
+// add appends the cursor and widens the stage's round count to its tiles.
+func (cs *cursorStage) add(c cursor) {
+	cs.streams = append(cs.streams, c)
+	if c.tiles > cs.maxTiles {
+		cs.maxTiles = c.tiles
+	}
 }
 
 // frameSource interleaves each stage's streams proportionally (Bresenham
@@ -362,25 +371,36 @@ type frameSource struct {
 }
 
 // Next implements memsys.Source.
+//
+// Stream i of a stage is due (round+1)·tiles_i/maxTiles tiles by the end
+// of a round. Its accumulator carries that quotient's remainder: each
+// round adds tiles_i, and a carry past maxTiles is one more tile due.
+// tiles_i <= maxTiles, so a round carries at most once, and a stream that
+// is due a tile always has one left (the quotient never exceeds tiles_i),
+// so a carry is exactly an emission. Addresses advance and wrap the
+// capacity by subtraction.
 func (f *frameSource) Next() (memsys.Request, bool) {
 	for f.si < len(f.stages) {
 		st := &f.stages[f.si]
 		for st.round < st.maxTiles {
 			for st.idx < len(st.streams) {
 				c := &st.streams[st.idx]
-				due := (st.round + 1) * c.tiles / st.maxTiles
-				if c.emitted < due && c.pos < c.bytes {
-					n := c.stream.run
-					if rem := c.bytes - c.pos; rem < n {
-						n = rem
-					}
-					addr := (c.stream.base + c.pos) % f.capacity
-					c.emitted++
-					c.pos += n
-					st.idx++
-					return memsys.Request{Write: c.stream.write, Addr: addr, Bytes: n, Stream: c.id}, true
-				}
 				st.idx++
+				if c.acc += c.tiles; c.acc < st.maxTiles {
+					continue
+				}
+				c.acc -= st.maxTiles
+				n := c.stream.run
+				if c.left < n {
+					n = c.left
+				}
+				addr := c.addr
+				c.left -= n
+				c.addr += n
+				for c.addr >= f.capacity {
+					c.addr -= f.capacity
+				}
+				return memsys.Request{Write: c.stream.write, Addr: addr, Bytes: n, Stream: c.id}, true
 			}
 			st.idx = 0
 			st.round++
@@ -437,14 +457,8 @@ func (g *Generator) StageFrame(stage int, fraction float64) (memsys.Source, erro
 	fs := &frameSource{capacity: g.capacity}
 	cs := cursorStage{}
 	for _, s := range g.stages[stage].streams {
-		bytes := int64(float64(s.bytes) * fraction)
-		if bytes == 0 {
-			continue
-		}
-		tiles := (bytes + s.run - 1) / s.run
-		cs.streams = append(cs.streams, cursor{stream: s, bytes: bytes, tiles: tiles})
-		if tiles > cs.maxTiles {
-			cs.maxTiles = tiles
+		if bytes := int64(float64(s.bytes) * fraction); bytes > 0 {
+			cs.add(newCursor(s, 0, bytes, g.capacity))
 		}
 	}
 	if len(cs.streams) > 0 {

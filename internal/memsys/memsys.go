@@ -8,6 +8,7 @@ package memsys
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/channel"
 	"repro/internal/controller"
@@ -150,6 +151,13 @@ type System struct {
 	onchip     interconnect.Link
 	chans      []*channel.Channel
 
+	// Coalesced-dispatch constants and scratch (see dispatchRuns): the
+	// interleave stripe (granularity × channels) as a divisor, log2 of the
+	// power-of-two burst size, and the reused row-segment buffer.
+	stripe     divisor
+	burstShift uint
+	segs       []channel.Segment
+
 	// Fault state. The dispatch clock is a deterministic lower bound on
 	// the simulation time at the point of dispatch — the latest request
 	// arrival seen, or the dispatched data-bus cycles spread evenly over
@@ -203,7 +211,10 @@ func New(cfg Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &System{cfg: cfg, speed: speed, interleave: interleave, onchip: onchip, deadChannel: -1}
+	s := &System{cfg: cfg, speed: speed, interleave: interleave, onchip: onchip, deadChannel: -1,
+		stripe:     newDivisor(gran * int64(cfg.Channels)),
+		burstShift: uint(bits.TrailingZeros64(uint64(cfg.Geometry.BurstBytes()))),
+	}
 	if cfg.Faults != nil && cfg.Faults.Enabled() {
 		inj, err := fault.NewInjector(*cfg.Faults, cfg.Channels)
 		if err != nil {
@@ -325,13 +336,15 @@ func (r Result) BusUtilization() float64 {
 // channels in program order.
 //
 // Because the channel interleave is a fixed stride, each transaction's
-// bursts form one contiguous local run per channel; on an unobserved,
-// fault-free system those runs are computed arithmetically and handed to
-// channel.AccessRunStream in one call per channel instead of once per
-// burst, whatever the scheduling policy; the channel, window and
-// controller then advance provably periodic stretches of a row in O(1)
-// (see controller.ReorderQueue.AccessRow). With probes (unless their events
-// are synthesized) or faults attached, or NoCoalesce set, dispatch stays
+// bursts form one contiguous local run per channel. On an unobserved,
+// fault-free system, whatever the scheduling policy, each transaction is
+// split once into those runs by shifts, masks and a reciprocal multiply,
+// each distinct run is walked into row segments once, and every channel
+// receives its segments in one channel.AccessSegments call (see
+// dispatchRuns); the channel, window and controller then advance provably
+// periodic stretches of a row in O(1) (see
+// controller.ReorderQueue.AccessRow). With probes (unless their events are
+// synthesized) or faults attached, or NoCoalesce set, dispatch stays
 // per-burst, so event streams and fault decision draws are untouched.
 // Either way the per-channel op order — and therefore every reported
 // number — is bit-identical.
@@ -377,12 +390,13 @@ func (s *System) Run(src Source) (Result, error) {
 			s.failChannel(s.inj.Plan().DropChannel)
 		}
 		arrival := s.onchip.Deliver(req.Arrival)
-		// Split into whole bursts covering [Addr, Addr+Bytes).
-		start := req.Addr - req.Addr%burst
+		// Split into whole bursts covering [Addr, Addr+Bytes); the burst
+		// size is a power of two (dram.Geometry.Validate).
+		start := req.Addr &^ (burst - 1)
 		end := req.Addr + req.Bytes
-		bursts := (end - start + burst - 1) / burst
+		bursts := (end - start + burst - 1) >> s.burstShift
 		if coalesce {
-			s.dispatchRuns(req.Write, start, bursts, req.Stream, arrival, &last)
+			s.dispatchRuns(req.Write, start, bursts<<s.burstShift, req.Stream, arrival, &last)
 		} else {
 			for a := start; a < end; a += burst {
 				ch, local := s.route(a)
@@ -425,58 +439,84 @@ func (s *System) observed() bool {
 	return false
 }
 
-// dispatchRuns splits the burst-aligned global range [start, start+bursts*B)
-// into its per-channel contiguous local runs and hands each to its channel
-// in one AccessRunStream call.
-// The stride interleave sends global chunk k to channel k mod M, and a
-// channel's consecutive chunks are adjacent in its local address space, so
-// each channel's share of a transaction is exactly one run. Of the n chunks
-// touched, starting at channel r0 = k0 mod M, the channel at offset o from
-// r0 takes n/M chunks plus one more when o < n mod M, and its first chunk
-// k0+o is local chunk k0/M (plus one when it wraps past channel M-1): a
-// fixed handful of divisions per transaction replaces the per-burst route()
-// loop and its two divisions per burst.
-func (s *System) dispatchRuns(write bool, start, bursts int64, stream int, arrival int64, last *int64) {
-	burst := s.cfg.Geometry.BurstBytes()
+// dispatchRuns splits the burst-aligned global range [start, start+bytes)
+// into its per-channel contiguous local runs and hands each channel its run
+// as pre-walked row segments (channel.AccessSegments).
+// The stride interleave deals the address space out in stripes of
+// S = granularity × M bytes, channel c owning bytes [cG, cG+G) of every
+// stripe, so each channel's share of a transaction is exactly one run. With
+// the start at offset off into stripe st and the end at Q whole stripes
+// plus R bytes past st's base, channel c's run starts at local address
+// st·G + head and holds Q·G + tail − head bytes, where head and tail are
+// the channel's bytes of a stripe below off and below R (each clamped to
+// [0, G]). The two offsets come from the stripe's reciprocal, so the split
+// never divides. head and tail are monotone in c, so channels with equal
+// runs are adjacent: the row walk runs once per distinct run — once for a
+// transaction that starts and ends on stripe boundaries, as every paper
+// tile does — and the following channels reuse its segments, which is
+// sound because every channel shares one geometry and multiplexing. The
+// stream remap stays per channel, inside AccessSegments.
+func (s *System) dispatchRuns(write bool, start, bytes int64, stream int, arrival int64, last *int64) {
 	gran := s.interleave.Granularity()
-	g := gran / burst // bursts per interleave chunk
-	m := int64(s.interleave.Channels())
-	s0 := start / burst // global burst index of the first burst
-	k0 := s0 / g        // first and last chunk index touched
-	k1 := (s0 + bursts - 1) / g
-	base := k0 / m
-	r0 := k0 - base*m
-	n := k1 - k0 + 1
-	q, rem := n/m, n%m
-	for c := int64(0); c < m; c++ {
-		o, lc := c-r0, base // channel c's offset from r0, local chunk of its first
-		if o < 0 {
-			o, lc = o+m, base+1
-		}
-		nc := q // its chunk count
-		if o < rem {
-			nc++
-		}
-		if nc == 0 {
+	st, off := s.stripe.divmod(start)
+	q, r := s.stripe.divmod(off + bytes)
+	local0, full := st*gran, q*gran
+	head, tail := int64(-1), int64(-1) // the walked run's; none walked yet
+	for c, cg := 0, int64(0); c < len(s.chans); c, cg = c+1, cg+gran {
+		h, t := clamp(off-cg, gran), clamp(r-cg, gran)
+		n := int((full + t - h) >> s.burstShift)
+		if n == 0 {
 			continue
 		}
-		kc := k0 + o // its first chunk in range
-		cnt := nc * g
-		first := kc * g
-		if first < s0 { // head chunk entered mid-way (only possible at k0)
-			cnt -= s0 - first
-			first = s0
-		}
-		if kc+(nc-1)*m == k1 { // tail chunk may end mid-way
-			if chunkEnd := (k1 + 1) * g; chunkEnd > s0+bursts {
-				cnt -= chunkEnd - (s0 + bursts)
+		ch := s.chans[c]
+		var e int64
+		if n == 1 {
+			e = ch.AccessStream(write, local0+h, stream, arrival)
+		} else {
+			if h != head || t != tail {
+				head, tail = h, t
+				s.segs = ch.AppendRowSegments(s.segs[:0], local0+h, n)
 			}
+			e = ch.AccessSegments(write, s.segs, stream, arrival)
 		}
-		local := lc*gran + (first-kc*g)*burst
-		if e := s.chans[c].AccessRunStream(write, local, int(cnt), stream, arrival); e > *last {
+		if e > *last {
 			*last = e
 		}
 	}
+}
+
+// clamp bounds x to [0, hi].
+func clamp(x, hi int64) int64 {
+	if x < 0 {
+		return 0
+	}
+	if x > hi {
+		return hi
+	}
+	return x
+}
+
+// divisor divides non-negative int64s by a fixed positive d without a
+// hardware divide: the quotient estimate from the reciprocal
+// floor((2^64-1)/d) is exact or one short for every 64-bit dividend, and
+// one compare corrects it (division by invariant integers).
+type divisor struct {
+	d     int64
+	recip uint64
+}
+
+func newDivisor(d int64) divisor { return divisor{d: d, recip: ^uint64(0) / uint64(d)} }
+
+// divmod returns x / d and x % d for x >= 0.
+func (v divisor) divmod(x int64) (q, r int64) {
+	hi, _ := bits.Mul64(uint64(x), v.recip)
+	q = int64(hi)
+	r = x - q*v.d
+	if r >= v.d {
+		q++
+		r -= v.d
+	}
+	return q, r
 }
 
 // dispatchClock returns the deterministic dispatch-time lower bound the

@@ -381,3 +381,33 @@ func TestInterleaveGranularityOverride(t *testing.T) {
 		t.Error("expected granularity error")
 	}
 }
+
+// TestDivisorMatchesHardwareDivide checks the reciprocal divide the
+// transaction split uses against / and % on stripe sizes of every shape —
+// one, powers of two, odd and even non-powers — over dividends from zero
+// to the top of the int64 range.
+func TestDivisorMatchesHardwareDivide(t *testing.T) {
+	check := func(d, x int64) {
+		q, r := newDivisor(d).divmod(x)
+		if q != x/d || r != x%d {
+			t.Fatalf("divmod(%d, %d) = %d, %d, want %d, %d", x, d, q, r, x/d, x%d)
+		}
+	}
+	for _, d := range []int64{1, 2, 3, 16, 48, 64, 96, 128, 192, 384, 1 << 20, 3 << 30, math.MaxInt64} {
+		for _, x := range []int64{0, 1, d - 1, d, d + 1, 7*d - 1, 7 * d, math.MaxInt64 - 1, math.MaxInt64} {
+			if x >= 0 {
+				check(d, x)
+			}
+		}
+		if err := quick.Check(func(x int64) bool {
+			if x < 0 {
+				x = -(x + 1)
+			}
+			check(d, x)
+			check(d, x>>20)
+			return true
+		}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
