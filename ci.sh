@@ -249,7 +249,10 @@ echo "== simulation service soak gate =="
 # with zero failed requests — every request either completes or sheds
 # honestly with 429 + Retry-After, and above the admission limit the
 # 429s must actually occur; an undersized deadline must come back 504;
-# and a SIGTERM under load must drain cleanly with exit 0.
+# and a SIGTERM under load must drain cleanly with exit 0. A second
+# daemon started with -degrade and one worker slot must answer the same
+# saturation soak without a single 429: saturated arrivals are served
+# at the fast tier and flagged degraded, and it too drains cleanly.
 svc_dir=$(mktemp -d)
 trap 'rm -rf "$qos_dir" "$cache_dir" "$svc_dir"' EXIT
 go build -race -o "$svc_dir/simd" ./cmd/simd
@@ -260,16 +263,20 @@ svc_fail() {
     kill "$simd_pid" 2>/dev/null || true
     exit 1
 }
-"$svc_dir/simd" -addr 127.0.0.1:0 -workers 2 -queue-limit 4 -drain 20s \
-    2>"$svc_dir/simd.log" &
-simd_pid=$!
-svc_addr=""
-for _ in $(seq 1 100); do
-    svc_addr=$(sed -n 's/^simd: listening on //p' "$svc_dir/simd.log")
-    [ -n "$svc_addr" ] && break
-    sleep 0.1
-done
-[ -n "$svc_addr" ] || svc_fail "simd never announced its address"
+# start_simd ARGS...: start the race-built daemon on a free port with
+# ARGS, setting simd_pid and svc_addr once it announces its address.
+start_simd() {
+    "$svc_dir/simd" -addr 127.0.0.1:0 -drain 20s "$@" 2>"$svc_dir/simd.log" &
+    simd_pid=$!
+    svc_addr=""
+    for _ in $(seq 1 100); do
+        svc_addr=$(sed -n 's/^simd: listening on //p' "$svc_dir/simd.log")
+        [ -n "$svc_addr" ] && break
+        sleep 0.1
+    done
+    [ -n "$svc_addr" ] || svc_fail "simd never announced its address"
+}
+start_simd -workers 2 -queue-limit 4
 "$svc_dir/simctl" sweep -server "http://$svc_addr" \
     -formats 1080p30 -channels 2,4 -freqs 400 -fraction 0.02 \
     >"$svc_dir/svc-sweep.csv" ||
@@ -301,6 +308,21 @@ if ! wait "$simd_pid"; then
 fi
 grep -q 'simd: drained cleanly' "$svc_dir/simd.log" ||
     svc_fail "simd did not report a clean drain"
+start_simd -workers 1 -queue-limit 1 -degrade
+"$svc_dir/simctl" soak -server "http://$svc_addr" -clients 16 -requests 3 \
+    -fraction 0.3 >"$svc_dir/soak-degrade.txt" ||
+    svc_fail "degrade soak reported failed requests"
+cat "$svc_dir/soak-degrade.txt"
+grep -q ' shed=0 .* failed=0$' "$svc_dir/soak-degrade.txt" ||
+    svc_fail "-degrade soak shed or failed requests"
+grep -Eq ' degraded=[1-9][0-9]* ' "$svc_dir/soak-degrade.txt" ||
+    svc_fail "16 clients against 1+1 admission slots were never served degraded"
+kill -TERM "$simd_pid"
+if ! wait "$simd_pid"; then
+    svc_fail "simd -degrade exited non-zero after SIGTERM"
+fi
+grep -q 'simd: drained cleanly' "$svc_dir/simd.log" ||
+    svc_fail "simd -degrade did not report a clean drain"
 echo "ci: simulation service soak OK"
 
 echo "== sharded grid router gate =="

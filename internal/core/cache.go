@@ -242,12 +242,7 @@ func (c *SimCache) simulate(ctx context.Context, w Workload, mc MemoryConfig, la
 	if looking {
 		endLookup()
 	}
-	outcome := OutcomeSimulated
-	if joined {
-		outcome = OutcomeJoined
-	} else if hit {
-		outcome = OutcomeHit
-	}
+	outcome := cacheOutcome(hit, joined)
 	if err != nil {
 		return Result{}, outcome, err
 	}
@@ -265,19 +260,15 @@ func (c *SimCache) simulate(ctx context.Context, w Workload, mc MemoryConfig, la
 	return res, outcome, nil
 }
 
-// memoEstimate publishes an analytic estimate under its fidelity-tagged
-// key in the in-process memo (single-flight, shared with concurrent
-// callers of the same point). Estimates never reach the disk store: the
-// tier tag in the key already rules out collisions with exact entries,
-// and a disk round-trip costs more than the microseconds the estimate
-// takes to recompute — the disk store stays exact-only. Cache stats are
-// simulator-entry stats and are not touched here; the per-tier fidelity
-// counters account for estimate traffic.
-func (c *SimCache) memoEstimate(ctx context.Context, w Workload, mc MemoryConfig, tier Fidelity, envTag string, est Result) (Result, error) {
-	res, _, err := c.memoEstimateOutcome(ctx, w, mc, tier, envTag, est)
-	return res, err
-}
-
+// memoEstimateOutcome publishes an analytic estimate under its
+// fidelity-tagged key in the in-process memo (single-flight, shared with
+// concurrent callers of the same point), reporting the cache outcome.
+// Estimates never reach the disk store: the tier tag in the key already
+// rules out collisions with exact entries, and a disk round-trip costs
+// more than the microseconds the estimate takes to recompute — the disk
+// store stays exact-only. Cache stats are simulator-entry stats and are
+// not touched here; the per-tier fidelity counters account for estimate
+// traffic.
 func (c *SimCache) memoEstimateOutcome(ctx context.Context, w Workload, mc MemoryConfig, tier Fidelity, envTag string, est Result) (Result, CacheOutcome, error) {
 	key, cacheable := cacheKeyTier(w, mc, tier, envTag)
 	if !cacheable {
@@ -286,16 +277,20 @@ func (c *SimCache) memoEstimateOutcome(ctx context.Context, w Workload, mc Memor
 	res, err, hit, joined := c.memo.DoContext(ctx, key, func(context.Context) (Result, error) {
 		return est, nil
 	})
-	if err != nil {
-		return Result{}, OutcomeBypass, err
+	return res, cacheOutcome(hit, joined), err
+}
+
+// cacheOutcome classifies a memo lookup. A single-flight join reports
+// hit and joined both, so joined is checked first.
+func cacheOutcome(hit, joined bool) CacheOutcome {
+	switch {
+	case joined:
+		return OutcomeJoined
+	case hit:
+		return OutcomeHit
+	default:
+		return OutcomeSimulated
 	}
-	outcome := OutcomeSimulated
-	if hit {
-		outcome = OutcomeHit
-	} else if joined {
-		outcome = OutcomeJoined
-	}
-	return res, outcome, nil
 }
 
 // activeCache is the process-wide cache consulted by Simulate; nil means

@@ -418,3 +418,23 @@ func TestDiskCacheCorruptEntryRecomputes(t *testing.T) {
 		t.Errorf("stats = %+v, want the repaired entry to hit", st)
 	}
 }
+
+// TestCacheOutcomeClassification pins the (hit, joined) → CacheOutcome
+// mapping shared by exact and estimate lookups: Memo reports a
+// single-flight join as hit and joined both, and that must read as a
+// join, not a hit.
+func TestCacheOutcomeClassification(t *testing.T) {
+	for _, tc := range []struct {
+		hit, joined bool
+		want        CacheOutcome
+	}{
+		{false, false, OutcomeSimulated},
+		{true, false, OutcomeHit},
+		{true, true, OutcomeJoined},
+		{false, true, OutcomeJoined},
+	} {
+		if got := cacheOutcome(tc.hit, tc.joined); got != tc.want {
+			t.Errorf("cacheOutcome(hit=%v, joined=%v) = %v, want %v", tc.hit, tc.joined, got, tc.want)
+		}
+	}
+}

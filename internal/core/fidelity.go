@@ -78,76 +78,72 @@ func EnabledEnvelope() *analytic.Envelope {
 	return e
 }
 
-// SimulateAuto answers one grid point at the requested fidelity tier. See
-// SimulateAutoContext.
-func SimulateAuto(w Workload, mc MemoryConfig, tier Fidelity) (Result, error) {
-	return SimulateAutoContext(context.Background(), w, mc, tier)
-}
-
-// SimulateAutoContext answers one grid point at the requested fidelity
-// tier. Exact is Simulate. Fast is AnalyticResult (flagged Estimated,
-// cached under a tier-tagged key). Auto serves the analytic answer only
-// when the calibrated envelope proves the verdict: with the signed
-// relative error e = (est − sim)/sim bounded in [lo, hi], the true access
-// time lies in [est/(1+hi), est/(1+lo)]; if both interval endpoints
-// classify identically, that verdict is the simulator's verdict, and the
-// result carries it (together with the analytic time estimate). Any point
-// the envelope cannot prove — straddling a feasibility boundary, off the
+// SimulateAuto answers one grid point at the requested fidelity tier.
+// Exact is Simulate. Fast is AnalyticResult (flagged Estimated, cached
+// under a tier-tagged key). Auto serves the analytic answer only when the
+// calibrated envelope proves the verdict: with the signed relative error
+// e = (est − sim)/sim bounded in [lo, hi], the true access time lies in
+// [est/(1+hi), est/(1+lo)]; if both interval endpoints classify
+// identically, that verdict is the simulator's verdict, and the result
+// carries it (together with the analytic time estimate). Any point the
+// envelope cannot prove — straddling a feasibility boundary, off the
 // calibrated grid, a different sampling fraction, a non-baseline
 // controller configuration, or an observed run (latency recording,
 // probes, faults) — falls back to the cycle-accurate path.
-func SimulateAutoContext(ctx context.Context, w Workload, mc MemoryConfig, tier Fidelity) (Result, error) {
-	switch tier {
-	case FidelityFast:
-		res, err := AnalyticResult(w, mc)
-		if err != nil {
-			return Result{}, err
-		}
-		countFidelity("fast")
-		if c := EnabledCache(); c != nil {
-			return c.memoEstimate(ctx, w, mc, tier, "", res)
-		}
-		return res, nil
-	case FidelityAuto:
-		env := EnabledEnvelope()
-		if res, ok := autoEstimate(w, mc, env); ok {
-			countFidelity("auto_analytic")
-			if c := EnabledCache(); c != nil {
-				return c.memoEstimate(ctx, w, mc, tier, env.Fingerprint(), res)
-			}
-			return res, nil
-		}
-		countFidelity("auto_exact")
-		return SimulateContext(ctx, w, mc)
-	default:
-		countFidelity("exact")
-		return SimulateContext(ctx, w, mc)
+func SimulateAuto(w Workload, mc MemoryConfig, tier Fidelity) (Result, error) {
+	est, envTag, ok, err := tierEstimate(w, mc, tier)
+	switch {
+	case err != nil:
+		return Result{}, err
+	case !ok:
+		return Simulate(w, mc)
 	}
+	if c := EnabledCache(); c != nil {
+		res, _, err := c.memoEstimateOutcome(context.Background(), w, mc, tier, envTag, est)
+		return res, err
+	}
+	return est, nil
 }
 
-// SimulateTier is SimulateAutoContext through this specific cache (the
+// SimulateTier is SimulateAuto through this specific cache (the
 // simulation service owns its cache instance rather than the process-wide
-// one) and reports the cache outcome for the X-Sim-Cache header.
+// one) with cancellation, and reports the cache outcome for the
+// X-Sim-Cache header.
 func (c *SimCache) SimulateTier(ctx context.Context, w Workload, mc MemoryConfig, tier Fidelity) (Result, CacheOutcome, error) {
+	est, envTag, ok, err := tierEstimate(w, mc, tier)
+	if err != nil {
+		return Result{}, OutcomeBypass, err
+	}
+	if !ok {
+		return c.simulate(ctx, w, mc, nil)
+	}
+	return c.memoEstimateOutcome(ctx, w, mc, tier, envTag, est)
+}
+
+// tierEstimate is the one fidelity switch: it returns the analytic
+// answer tier serves for (w, mc), with the envelope tag its cache key
+// carries, or ok=false when the point must be simulated exactly. Each
+// call counts one point in its tier's fidelity counter.
+func tierEstimate(w Workload, mc MemoryConfig, tier Fidelity) (est Result, envTag string, ok bool, err error) {
 	switch tier {
 	case FidelityFast:
-		res, err := AnalyticResult(w, mc)
+		est, err = AnalyticResult(w, mc)
 		if err != nil {
-			return Result{}, OutcomeBypass, err
+			return Result{}, "", false, err
 		}
 		countFidelity("fast")
-		return c.memoEstimateOutcome(ctx, w, mc, tier, "", res)
+		return est, "", true, nil
 	case FidelityAuto:
 		env := EnabledEnvelope()
-		if res, ok := autoEstimate(w, mc, env); ok {
+		if est, ok := autoEstimate(w, mc, env); ok {
 			countFidelity("auto_analytic")
-			return c.memoEstimateOutcome(ctx, w, mc, tier, env.Fingerprint(), res)
+			return est, env.Fingerprint(), true, nil
 		}
 		countFidelity("auto_exact")
-		return c.simulate(ctx, w, mc, nil)
+		return Result{}, "", false, nil
 	default:
 		countFidelity("exact")
-		return c.simulate(ctx, w, mc, nil)
+		return Result{}, "", false, nil
 	}
 }
 

@@ -36,7 +36,7 @@ func FuzzDecodeSimulateRequest(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var req SimulateRequest
-		if err := decodeJSON(bytes.NewReader(data), &req); err != nil {
+		if err := DecodeJSON(bytes.NewReader(data), &req); err != nil {
 			return // rejected inputs just need to not panic
 		}
 		w, mc, err := req.Point()

@@ -181,9 +181,6 @@ func DecodeJSON(r io.Reader, v any) error {
 	return nil
 }
 
-// decodeJSON is the package-internal spelling the handlers use.
-func decodeJSON(r io.Reader, v any) error { return DecodeJSON(r, v) }
-
 // parseMux maps the wire spelling onto mapping.Multiplexing.
 func parseMux(s string) (mapping.Multiplexing, error) {
 	switch strings.ToLower(s) {
@@ -194,13 +191,6 @@ func parseMux(s string) (mapping.Multiplexing, error) {
 	default:
 		return 0, fmt.Errorf("unknown mux %q (want \"rbc\" or \"brc\")", s)
 	}
-}
-
-// parsePolicy maps the wire spelling onto controller.PagePolicy — the
-// registry's canonical parser, so the service accepts exactly the
-// spellings the CLIs do and its error lists the valid names.
-func parsePolicy(s string) (controller.PagePolicy, error) {
-	return controller.ParsePolicy(s)
 }
 
 // Point lowers the request to the core types, reusing the same
@@ -216,7 +206,9 @@ func (req *SimulateRequest) Point() (core.Workload, core.MemoryConfig, error) {
 	if err != nil {
 		return core.Workload{}, core.MemoryConfig{}, err
 	}
-	policy, err := parsePolicy(req.Policy)
+	// The registry's canonical parser: the service accepts exactly the
+	// spellings the CLIs do, and its error lists the valid names.
+	policy, err := controller.ParsePolicy(req.Policy)
 	if err != nil {
 		return core.Workload{}, core.MemoryConfig{}, err
 	}

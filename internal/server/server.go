@@ -1,16 +1,20 @@
 // Package server is the simulation service: a hardened HTTP/JSON daemon
-// exposing the simulator over POST /v1/simulate (one point) and POST
-// /v1/sweep (a grid), answering from the content-addressed SimCache with
-// cross-request single-flight dedup and dispatching misses into a bounded
-// worker pool.
+// exposing the simulator over POST /v1/simulate (one point), POST
+// /v1/sweep (a grid) and POST /v1/batch (an explicit point list),
+// answering from the content-addressed SimCache with cross-request
+// single-flight dedup and dispatching misses into a bounded worker pool.
+// Every endpoint lowers its body to one list of points and answers it on
+// one request path (serve): resolve, deadline, admission, then each
+// point at its fidelity tier.
 //
 // The robustness discipline mirrors the paper's QoS ladder at the service
-// level, in order of preference: answer exactly (cache hit or simulation),
-// answer approximately (the analytic estimate, flagged as degraded, when
-// the queue is saturated), or refuse cheaply and honestly (429 with
-// Retry-After) — never hang, never let one client starve the rest, and
-// never let a disconnected client keep burning CPU. Every limit is a
-// Config knob and every decision is counted in the metrics registry.
+// level, in order of preference: answer at the requested tier (cache hit
+// or simulation), answer approximately when the queue is saturated (with
+// Degrade, the same points at the fast tier, flagged degraded), or refuse
+// cheaply and honestly (429 with Retry-After) — never hang, never let one
+// client starve the rest, and never let a disconnected client keep
+// burning CPU. Every limit is a Config knob and every decision is counted
+// in the metrics registry.
 package server
 
 import (
@@ -52,9 +56,10 @@ type Config struct {
 	// Clients are keyed by the X-Client-ID header, else by remote host.
 	RateLimit float64
 	RateBurst int
-	// Degrade serves saturated arrivals an analytic estimate (flagged
-	// degraded in the response) instead of shedding them with 429 —
-	// the service-level analogue of the paper's frame-dropping ladder.
+	// Degrade serves a saturated arrival's points at the fast fidelity
+	// tier, outside the worker pool and flagged degraded in the
+	// response, instead of shedding it with 429 — the service-level
+	// analogue of the paper's frame-dropping ladder.
 	Degrade bool
 	// Fidelity is the tier used for requests that do not set their own
 	// "fidelity" field (the simd -fidelity flag). The zero value is
@@ -143,7 +148,7 @@ type Server struct {
 	meter   serverMeter
 
 	// slots is the worker-pool semaphore: one token per concurrent
-	// simulation, shared by both endpoints. pending counts admitted
+	// simulation, shared by every endpoint. pending counts admitted
 	// requests (queued + running) against Workers+QueueLimit.
 	slots   chan struct{}
 	pending atomic.Int64
@@ -156,11 +161,10 @@ type Server struct {
 	http *http.Server
 	ln   net.Listener
 
-	// simulate and estimate are the compute seams: production wires them
-	// to the cache and the analytic model; tests substitute blocking or
-	// panicking stand-ins to pin the failure-handling paths.
+	// simulate is the compute seam: production wires it to the cache;
+	// tests substitute blocking or panicking stand-ins to pin the
+	// failure-handling paths.
 	simulate func(ctx context.Context, w core.Workload, mc core.MemoryConfig, tier core.Fidelity) (core.Result, core.CacheOutcome, error)
-	estimate func(w core.Workload, mc core.MemoryConfig) (core.Result, error)
 }
 
 // New builds a Server from cfg.
@@ -175,7 +179,6 @@ func New(cfg Config) *Server {
 		baseCtx:    baseCtx,
 		cancelBase: cancel,
 		simulate:   cfg.Cache.SimulateTier,
-		estimate:   core.AnalyticResult,
 	}
 	s.http = &http.Server{
 		Handler:     s.Handler(),
@@ -368,186 +371,170 @@ func (s *Server) acquireSlot(ctx context.Context) (release func(), err error) {
 	}
 }
 
-// runPoint answers one point through the worker pool and cache,
-// classifying the outcome for the response header.
-func (s *Server) runPoint(ctx context.Context, w core.Workload, mc core.MemoryConfig, tier core.Fidelity) (core.Result, core.CacheOutcome, error) {
-	release, err := s.acquireSlot(ctx)
-	if err != nil {
-		return core.Result{}, 0, err
-	}
-	defer release()
-	res, outcome, err := s.simulate(ctx, w, mc, tier)
-	if err == nil && outcome == core.OutcomeJoined {
-		s.meter.dedupJoined.Inc()
-	}
-	return res, outcome, err
+// point is one resolved request point: the wire request it answers, its
+// core inputs and the fidelity tier it is served at when admitted.
+type point struct {
+	req  SimulateRequest
+	w    core.Workload
+	mc   core.MemoryConfig
+	tier core.Fidelity
 }
 
-// tierFor resolves a request's fidelity field against the server default.
-func (s *Server) tierFor(field string) (core.Fidelity, error) {
-	if field == "" {
-		return s.cfg.Fidelity, nil
-	}
-	return core.ParseFidelity(field)
-}
-
-// shedOrDegrade handles a saturated arrival: the analytic estimate when
-// degradation is enabled (est != nil on success), else a 429 was written.
-func (s *Server) shedOrDegrade(w http.ResponseWriter, req SimulateRequest) (est *SimulateResponse) {
-	if s.cfg.Degrade {
+// resolve lowers the wire points to core inputs, validating every one,
+// and resolves each tier: a point's own fidelity field wins over the
+// request default, which wins over the server default.
+func (s *Server) resolve(reqs []SimulateRequest, fidelity string) ([]point, error) {
+	points := make([]point, len(reqs))
+	for i, req := range reqs {
 		wl, mc, err := req.Point()
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
-			return nil
+			return nil, err
 		}
-		res, err := s.estimate(wl, mc)
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, err.Error())
-			return nil
+		spec := req.Fidelity
+		if spec == "" {
+			spec = fidelity
 		}
-		s.meter.degraded.Inc()
-		resp := responseFor(req, res, true)
-		return &resp
+		tier := s.cfg.Fidelity
+		if spec != "" {
+			if tier, err = core.ParseFidelity(spec); err != nil {
+				return nil, err
+			}
+		}
+		points[i] = point{req, wl, mc, tier}
 	}
-	s.meter.shed.Inc()
-	w.Header().Set("Retry-After", retryAfterSeconds(time.Second))
-	writeError(w, http.StatusTooManyRequests, "admission queue full")
-	return nil
+	return points, nil
+}
+
+// answer is one served point: its wire body and how it was answered (a
+// cache outcome, or "degraded").
+type answer struct {
+	resp    SimulateResponse
+	outcome string
+}
+
+// serve is every endpoint's request path. It resolves the points and the
+// deadline (any error is a 400 before admission), then charges the
+// request one admission. Admitted points fan over the shared worker pool
+// at their own tiers, in request order. A saturated arrival is shed with
+// 429, or, with Degrade, served at the fast tier outside the pool and
+// flagged degraded. ok=false means an error answer was written.
+func (s *Server) serve(w http.ResponseWriter, r *http.Request, reqs []SimulateRequest, fidelity string) (answers []answer, degraded, ok bool) {
+	points, err := s.resolve(reqs, fidelity)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
+		return nil, false, false
+	}
+	deadline, err := s.requestDeadline(r)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
+		return nil, false, false
+	}
+	release, admitted := s.admit()
+	switch {
+	case admitted:
+		defer release()
+	case !s.cfg.Degrade:
+		s.meter.shed.Inc()
+		w.Header().Set("Retry-After", retryAfterSeconds(time.Second))
+		writeError(w, http.StatusTooManyRequests, "admission queue full")
+		return nil, false, false
+	}
+	degraded = !admitted
+	jobs := s.cfg.Workers
+	if degraded {
+		jobs = 1
+	}
+	ctx, cancel := context.WithTimeout(r.Context(), deadline)
+	defer cancel()
+	answers, err = core.RunIndexedContext(ctx, jobs, len(points), func(i int) (answer, error) {
+		return s.servePoint(ctx, points[i], degraded)
+	})
+	if err != nil {
+		s.writeSimError(w, ctx, err)
+		return nil, false, false
+	}
+	if degraded {
+		s.meter.degraded.Inc()
+		w.Header().Set("X-Sim-Degraded", "true")
+	}
+	return answers, degraded, true
+}
+
+// servePoint answers one point: at its own tier through a worker slot (the
+// per-point acquireSlot arbitrates fairly between requests), or, when
+// degraded, at the fast tier without taking one.
+func (s *Server) servePoint(ctx context.Context, p point, degraded bool) (answer, error) {
+	if degraded {
+		res, _, err := s.simulate(ctx, p.w, p.mc, core.FidelityFast)
+		return answer{responseFor(p.req, res, true), "degraded"}, err
+	}
+	release, err := s.acquireSlot(ctx)
+	if err != nil {
+		return answer{}, err
+	}
+	defer release()
+	res, outcome, err := s.simulate(ctx, p.w, p.mc, p.tier)
+	if err != nil {
+		return answer{}, err
+	}
+	if outcome == core.OutcomeJoined {
+		s.meter.dedupJoined.Inc()
+	}
+	return answer{responseFor(p.req, res, false), outcome.String()}, nil
 }
 
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	var req SimulateRequest
-	if err := decodeJSON(r.Body, &req); err != nil {
+	if err := DecodeJSON(r.Body, &req); err != nil {
 		writeDecodeError(w, err)
 		return
 	}
-	wl, mc, err := req.Point()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	tier, err := s.tierFor(req.Fidelity)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	deadline, err := s.requestDeadline(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	release, ok := s.admit()
+	answers, degraded, ok := s.serve(w, r, []SimulateRequest{req}, "")
 	if !ok {
-		if est := s.shedOrDegrade(w, req); est != nil {
-			w.Header().Set("X-Sim-Degraded", "true")
-			writeJSON(w, http.StatusOK, est)
-		}
 		return
 	}
-	defer release()
-	ctx, cancel := context.WithTimeout(r.Context(), deadline)
-	defer cancel()
-	res, outcome, err := s.runPoint(ctx, wl, mc, tier)
-	if err != nil {
-		s.writeSimError(w, ctx, err)
-		return
+	if !degraded {
+		w.Header().Set("X-Sim-Cache", answers[0].outcome)
 	}
-	w.Header().Set("X-Sim-Cache", outcome.String())
-	resp := responseFor(req, res, false)
-	writeJSON(w, http.StatusOK, &resp)
+	writeJSON(w, http.StatusOK, &answers[0].resp)
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
-	if err := decodeJSON(r.Body, &req); err != nil {
+	if err := DecodeJSON(r.Body, &req); err != nil {
 		writeDecodeError(w, err)
 		return
 	}
-	points, err := req.Grid(s.cfg.MaxSweepPoints)
+	grid, err := req.Grid(s.cfg.MaxSweepPoints)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	tier, err := s.tierFor(req.Fidelity)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	// Validate the whole grid up front: a bad coordinate must 400 before
-	// any simulation runs, not fail the sweep halfway.
-	type point struct {
-		w  core.Workload
-		mc core.MemoryConfig
-	}
-	grid := make([]point, len(points))
-	for i, p := range points {
-		wl, mc, err := p.Point()
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		grid[i] = point{wl, mc}
-	}
-	deadline, err := s.requestDeadline(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	release, ok := s.admit()
+	answers, degraded, ok := s.serve(w, r, grid, req.Fidelity)
 	if !ok {
-		if !s.cfg.Degrade {
-			s.meter.shed.Inc()
-			w.Header().Set("Retry-After", retryAfterSeconds(time.Second))
-			writeError(w, http.StatusTooManyRequests, "admission queue full")
-			return
-		}
-		// Degraded sweep: estimate every point analytically.
-		resp := SweepResponse{Degraded: true, Points: make([]SimulateResponse, len(points))}
-		for i, p := range grid {
-			res, err := s.estimate(p.w, p.mc)
-			if err != nil {
-				writeError(w, http.StatusInternalServerError, err.Error())
-				return
-			}
-			resp.Points[i] = responseFor(points[i], res, true)
-		}
-		s.meter.degraded.Inc()
-		w.Header().Set("X-Sim-Degraded", "true")
-		writeJSON(w, http.StatusOK, &resp)
 		return
 	}
-	defer release()
-	ctx, cancel := context.WithTimeout(r.Context(), deadline)
-	defer cancel()
-	// One admitted sweep fans its points over the shared worker pool;
-	// the per-point acquireSlot arbitrates fairly with single-point
-	// requests, and RunIndexedContext keeps the output in grid order.
-	results, err := core.RunIndexedContext(ctx, s.cfg.Workers, len(grid), func(i int) (SimulateResponse, error) {
-		res, _, err := s.runPoint(ctx, grid[i].w, grid[i].mc, tier)
-		if err != nil {
-			return SimulateResponse{}, err
-		}
-		return responseFor(points[i], res, false), nil
-	})
-	if err != nil {
-		s.writeSimError(w, ctx, err)
-		return
+	resp := SweepResponse{Points: make([]SimulateResponse, len(answers)), Degraded: degraded}
+	for i, a := range answers {
+		resp.Points[i] = a.resp
 	}
-	writeJSON(w, http.StatusOK, &SweepResponse{Points: results})
+	writeJSON(w, http.StatusOK, &resp)
 }
 
 // handleBatch answers an explicit slice of points under ONE admission
 // and deadline envelope — the shard router's per-shard transport. The
-// points fan over the shared worker pool exactly as a sweep's grid does;
-// the difference is the envelope (a router charges each shard one
-// admission slot per sub-batch, not one per point) and the response,
-// which carries per-point cache outcomes so the router can surface
-// fleet-wide cache attribution without the merged sweep body ever
-// depending on cache state. A warm batch computes and persists every
-// point but omits the bodies — priming is the payload.
+// points are served exactly as a sweep's grid is; the difference is the
+// envelope (a router charges each shard one admission slot per
+// sub-batch, not one per point) and the response, which carries
+// per-point outcomes so the router can surface fleet-wide cache
+// attribution without the merged sweep body ever depending on cache
+// state. A warm batch computes and persists every point but omits the
+// bodies — priming is the payload. Degraded answers are estimates, which
+// never reach the disk store, so a degraded warm batch primes nothing;
+// its "degraded" outcomes say so.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchRequest
-	if err := decodeJSON(r.Body, &req); err != nil {
+	if err := DecodeJSON(r.Body, &req); err != nil {
 		writeDecodeError(w, err)
 		return
 	}
@@ -560,100 +547,20 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("batch has %d points, limit %d", len(req.Points), s.cfg.MaxSweepPoints))
 		return
 	}
-	// Validate every point and resolve its tier up front: a bad
-	// coordinate must 400 before any simulation runs. A point's own
-	// fidelity field wins over the batch default, which wins over the
-	// server default.
-	type point struct {
-		w    core.Workload
-		mc   core.MemoryConfig
-		tier core.Fidelity
-	}
-	grid := make([]point, len(req.Points))
-	for i := range req.Points {
-		wl, mc, err := req.Points[i].Point()
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		spec := req.Points[i].Fidelity
-		if spec == "" {
-			spec = req.Fidelity
-		}
-		tier, err := s.tierFor(spec)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		grid[i] = point{wl, mc, tier}
-	}
-	deadline, err := s.requestDeadline(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	release, ok := s.admit()
+	answers, degraded, ok := s.serve(w, r, req.Points, req.Fidelity)
 	if !ok {
-		if !s.cfg.Degrade {
-			s.meter.shed.Inc()
-			w.Header().Set("Retry-After", retryAfterSeconds(time.Second))
-			writeError(w, http.StatusTooManyRequests, "admission queue full")
-			return
-		}
-		// Degraded batch: estimate every point analytically. Estimates
-		// never reach the disk store, so a degraded warm batch primes
-		// nothing — the outcomes say so honestly.
-		resp := BatchResponse{
-			Degraded: true,
-			Shard:    s.cfg.ShardName,
-			Outcomes: make([]string, len(grid)),
-		}
-		if !req.Warm {
-			resp.Points = make([]SimulateResponse, len(grid))
-		}
-		for i, p := range grid {
-			res, err := s.estimate(p.w, p.mc)
-			if err != nil {
-				writeError(w, http.StatusInternalServerError, err.Error())
-				return
-			}
-			resp.Outcomes[i] = "degraded"
-			if !req.Warm {
-				resp.Points[i] = responseFor(req.Points[i], res, true)
-			}
-		}
-		s.meter.degraded.Inc()
-		w.Header().Set("X-Sim-Degraded", "true")
-		writeJSON(w, http.StatusOK, &resp)
-		return
-	}
-	defer release()
-	ctx, cancel := context.WithTimeout(r.Context(), deadline)
-	defer cancel()
-	type answer struct {
-		resp    SimulateResponse
-		outcome core.CacheOutcome
-	}
-	answers, err := core.RunIndexedContext(ctx, s.cfg.Workers, len(grid), func(i int) (answer, error) {
-		res, outcome, err := s.runPoint(ctx, grid[i].w, grid[i].mc, grid[i].tier)
-		if err != nil {
-			return answer{}, err
-		}
-		return answer{responseFor(req.Points[i], res, false), outcome}, nil
-	})
-	if err != nil {
-		s.writeSimError(w, ctx, err)
 		return
 	}
 	resp := BatchResponse{
 		Shard:    s.cfg.ShardName,
 		Outcomes: make([]string, len(answers)),
+		Degraded: degraded,
 	}
 	if !req.Warm {
 		resp.Points = make([]SimulateResponse, len(answers))
 	}
 	for i, a := range answers {
-		resp.Outcomes[i] = a.outcome.String()
+		resp.Outcomes[i] = a.outcome
 		if !req.Warm {
 			resp.Points[i] = a.resp
 		}

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -212,9 +213,15 @@ func TestSingleFlightDedup(t *testing.T) {
 }
 
 // blockingStub parks every simulate call until gate closes (or the
-// request context is canceled), reporting each arrival on started.
+// request context is canceled), reporting each arrival on started. Fast
+// tier calls, which is how saturated requests are degraded, answer at
+// once with the analytic estimate.
 func blockingStub(res core.Result, gate <-chan struct{}, started chan<- struct{}) func(context.Context, core.Workload, core.MemoryConfig, core.Fidelity) (core.Result, core.CacheOutcome, error) {
 	return func(ctx context.Context, w core.Workload, mc core.MemoryConfig, tier core.Fidelity) (core.Result, core.CacheOutcome, error) {
+		if tier == core.FidelityFast {
+			est, err := core.AnalyticResult(w, mc)
+			return est, core.OutcomeSimulated, err
+		}
 		if started != nil {
 			started <- struct{}{}
 		}
@@ -317,6 +324,151 @@ func TestDegradedFallback(t *testing.T) {
 	close(gate)
 	for i := 0; i < 2; i++ {
 		<-admitted
+	}
+}
+
+// TestDegradedSweepAndBatch: with Degrade on, a saturated sweep, batch
+// and warm batch each answer 200 with every point the fidelity-fast
+// answer flagged degraded, the batch outcomes read "degraded", and each
+// request counts once in server_degraded_total.
+func TestDegradedSweepAndBatch(t *testing.T) {
+	reg := metrics.NewRegistry()
+	s := New(Config{Workers: 1, QueueLimit: 1, Degrade: true, Metrics: reg})
+	// Exact simulations park until gate closes, holding the pool full;
+	// every other tier reaches the real cache.
+	gate := make(chan struct{})
+	started := make(chan struct{}, 4)
+	real := s.simulate
+	park := blockingStub(core.Result{}, gate, started)
+	s.simulate = func(ctx context.Context, w core.Workload, mc core.MemoryConfig, tier core.Fidelity) (core.Result, core.CacheOutcome, error) {
+		if tier == core.FidelityExact {
+			return park(ctx, w, mc, tier)
+		}
+		return real(ctx, w, mc, tier)
+	}
+	h := s.Handler()
+
+	admitted := make(chan *httptest.ResponseRecorder, 2)
+	for i := 0; i < 2; i++ {
+		go func() { admitted <- postJSON(h, "/v1/simulate", sampleBody, nil) }()
+	}
+	<-started
+	deadline := time.Now().Add(10 * time.Second)
+	for s.pending.Load() < 2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("pending %d, want 2", s.pending.Load())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	defer func() {
+		close(gate)
+		for i := 0; i < 2; i++ {
+			<-admitted
+		}
+	}()
+
+	// fastAnswer is the fidelity-fast answer an unsaturated daemon gives.
+	fast := New(Config{Workers: 1}).Handler()
+	fastAnswer := func(req SimulateRequest) SimulateResponse {
+		t.Helper()
+		req.Fidelity = "fast"
+		body, err := json.Marshal(&req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := postJSON(fast, "/v1/simulate", string(body), nil)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("fast reference: status %d, body %s", rec.Code, rec.Body)
+		}
+		var resp SimulateResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	checkPoints := func(name string, reqs []SimulateRequest, got []SimulateResponse) {
+		t.Helper()
+		if len(got) != len(reqs) {
+			t.Fatalf("%s: %d points, want %d", name, len(got), len(reqs))
+		}
+		for i, req := range reqs {
+			if !got[i].Degraded || !got[i].Estimated {
+				t.Errorf("%s: point %d degraded=%v estimated=%v, want both true", name, i, got[i].Degraded, got[i].Estimated)
+			}
+			want := fastAnswer(req)
+			want.Degraded = true
+			if got[i] != want {
+				t.Errorf("%s: point %d = %+v, want %+v", name, i, got[i], want)
+			}
+		}
+	}
+	post := func(name, path, body string) []byte {
+		t.Helper()
+		before := s.meter.degraded.Value()
+		rec := postJSON(h, path, body, nil)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d, body %s", name, rec.Code, rec.Body)
+		}
+		if got := rec.Header().Get("X-Sim-Degraded"); got != "true" {
+			t.Errorf("%s: X-Sim-Degraded = %q, want true", name, got)
+		}
+		if d := s.meter.degraded.Value() - before; d != 1 {
+			t.Errorf("%s: server_degraded_total rose by %d, want 1", name, d)
+		}
+		return rec.Body.Bytes()
+	}
+
+	sweep := SweepRequest{Formats: []string{"720p30"}, Channels: []int{1, 2}, FreqsMHz: []int{200, 400}, Fraction: 0.05}
+	grid, err := sweep.Grid(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(&sweep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sresp SweepResponse
+	if err := json.Unmarshal(post("sweep", "/v1/sweep", string(body)), &sresp); err != nil {
+		t.Fatal(err)
+	}
+	if !sresp.Degraded {
+		t.Error("sweep: envelope not flagged degraded")
+	}
+	checkPoints("sweep", grid, sresp.Points)
+
+	// A point's own exact tier does not survive saturation: degraded
+	// means the fast tier for every point.
+	points := []SimulateRequest{sampleRequest(), sampleRequest()}
+	points[1].Channels = 2
+	points[1].Fidelity = "exact"
+	for _, warm := range []bool{false, true} {
+		name := fmt.Sprintf("batch warm=%v", warm)
+		body, err := json.Marshal(&BatchRequest{Points: points, Warm: warm})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var bresp BatchResponse
+		if err := json.Unmarshal(post(name, "/v1/batch", string(body)), &bresp); err != nil {
+			t.Fatal(err)
+		}
+		if !bresp.Degraded {
+			t.Errorf("%s: envelope not flagged degraded", name)
+		}
+		if len(bresp.Outcomes) != len(points) {
+			t.Fatalf("%s: %d outcomes, want %d", name, len(bresp.Outcomes), len(points))
+		}
+		for i, o := range bresp.Outcomes {
+			if o != "degraded" {
+				t.Errorf("%s: outcome %d = %q, want degraded", name, i, o)
+			}
+		}
+		if warm {
+			if bresp.Points != nil {
+				t.Errorf("%s: %d point bodies, want none", name, len(bresp.Points))
+			}
+			continue
+		}
+		checkPoints(name, points, bresp.Points)
 	}
 }
 

@@ -617,6 +617,45 @@ func countHeader(counts map[string]int) string {
 	return strings.Join(parts, ",")
 }
 
+// fanIn answers points across the fleet (fanOut) and merges the
+// sub-batches back into one batch answer in request order, with the
+// points each shard answered, stamping the X-Sim-Shard counts and, when
+// any shard degraded, X-Sim-Degraded. ok=false means an error answer was
+// written: a 400 for a bad point, else the first sub-batch failure
+// (mergeFailure).
+func (rt *Router) fanIn(w http.ResponseWriter, r *http.Request, points []server.SimulateRequest, fidelity string, warm bool) (resp server.BatchResponse, shards map[string]int, ok bool) {
+	groups, err := rt.fanOut(r.Context(), points, fidelity, warm, forwardHeaders(r))
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
+		return resp, nil, false
+	}
+	if mergeFailure(w, groups) {
+		return resp, nil, false
+	}
+	resp.Outcomes = make([]string, len(points))
+	if !warm {
+		resp.Points = make([]server.SimulateResponse, len(points))
+	}
+	shards = map[string]int{}
+	for _, g := range groups {
+		shards[g.shardName()] += len(g.indices)
+		resp.Degraded = resp.Degraded || g.resp.Degraded
+		for j, i := range g.indices {
+			if j < len(g.resp.Outcomes) {
+				resp.Outcomes[i] = g.resp.Outcomes[j]
+			}
+			if !warm {
+				resp.Points[i] = g.resp.Points[j]
+			}
+		}
+	}
+	w.Header().Set("X-Sim-Shard", countHeader(shards))
+	if resp.Degraded {
+		w.Header().Set("X-Sim-Degraded", "true")
+	}
+	return resp, shards, true
+}
+
 func (rt *Router) handleSweep(w http.ResponseWriter, r *http.Request) {
 	endpoint := "sweep"
 	warm := r.URL.Query().Get("warm") == "1"
@@ -634,35 +673,19 @@ func (rt *Router) handleSweep(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, err.Error())
 			return
 		}
-		groups, err := rt.fanOut(r.Context(), points, req.Fidelity, warm, forwardHeaders(r))
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		if mergeFailure(w, groups) {
+		batch, shards, ok := rt.fanIn(w, r, points, req.Fidelity, warm)
+		if !ok {
 			return
 		}
 		outcomes := map[string]int{}
-		shards := map[string]int{}
-		degraded := false
-		merged := make([]server.SimulateResponse, len(points))
-		for _, g := range groups {
-			shards[g.shardName()] += len(g.indices)
-			degraded = degraded || g.resp.Degraded
-			for j, i := range g.indices {
-				if j < len(g.resp.Outcomes) {
-					outcomes[g.resp.Outcomes[j]]++
-				}
-				if !warm {
-					merged[i] = g.resp.Points[j]
-				}
+		for _, o := range batch.Outcomes {
+			// A shard that reported fewer outcomes than points leaves the
+			// rest empty; they are not an outcome.
+			if o != "" {
+				outcomes[o]++
 			}
 		}
 		w.Header().Set("X-Sim-Cache", countHeader(outcomes))
-		w.Header().Set("X-Sim-Shard", countHeader(shards))
-		if degraded {
-			w.Header().Set("X-Sim-Degraded", "true")
-		}
 		if warm {
 			writeJSON(w, http.StatusOK, &server.WarmResponse{
 				Points:   len(points),
@@ -675,7 +698,7 @@ func (rt *Router) handleSweep(w http.ResponseWriter, r *http.Request) {
 		// same struct, the same marshaling — byte-identical by
 		// construction, with every cache- and shard-dependent fact in
 		// headers where it cannot perturb the bytes.
-		writeJSON(w, http.StatusOK, &server.SweepResponse{Points: merged, Degraded: degraded})
+		writeJSON(w, http.StatusOK, &server.SweepResponse{Points: batch.Points, Degraded: batch.Degraded})
 	})(w, r)
 }
 
@@ -695,36 +718,11 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 				fmt.Sprintf("batch has %d points, limit %d", len(req.Points), rt.cfg.MaxSweepPoints))
 			return
 		}
-		groups, err := rt.fanOut(r.Context(), req.Points, req.Fidelity, req.Warm, forwardHeaders(r))
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
+		batch, _, ok := rt.fanIn(w, r, req.Points, req.Fidelity, req.Warm)
+		if !ok {
 			return
 		}
-		if mergeFailure(w, groups) {
-			return
-		}
-		resp := server.BatchResponse{Outcomes: make([]string, len(req.Points))}
-		if !req.Warm {
-			resp.Points = make([]server.SimulateResponse, len(req.Points))
-		}
-		shards := map[string]int{}
-		for _, g := range groups {
-			shards[g.shardName()] += len(g.indices)
-			resp.Degraded = resp.Degraded || g.resp.Degraded
-			for j, i := range g.indices {
-				if j < len(g.resp.Outcomes) {
-					resp.Outcomes[i] = g.resp.Outcomes[j]
-				}
-				if !req.Warm {
-					resp.Points[i] = g.resp.Points[j]
-				}
-			}
-		}
-		w.Header().Set("X-Sim-Shard", countHeader(shards))
-		if resp.Degraded {
-			w.Header().Set("X-Sim-Degraded", "true")
-		}
-		writeJSON(w, http.StatusOK, &resp)
+		writeJSON(w, http.StatusOK, &batch)
 	})(w, r)
 }
 

@@ -323,3 +323,129 @@ func TestRouterValidation(t *testing.T) {
 		t.Error("router accepted an empty shard URL")
 	}
 }
+
+// TestRouterDegradedPassThrough: when one shard answers its sub-batch
+// degraded, the merged sweep and batch carry X-Sim-Degraded and the body
+// flag, and every point, degraded or exact, stays in grid order.
+func TestRouterDegradedPassThrough(t *testing.T) {
+	// The stub shard answers every point degraded, echoing its grid
+	// coordinates so a misplaced point is visible.
+	stubAnswer := func(p server.SimulateRequest) server.SimulateResponse {
+		return server.SimulateResponse{Format: p.Format, Channels: p.Channels, FreqMHz: p.FreqMHz, Degraded: true, Estimated: true}
+	}
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var req server.BatchRequest
+		if err := server.DecodeJSON(r.Body, &req); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		resp := server.BatchResponse{Degraded: true, Shard: "stub"}
+		for _, p := range req.Points {
+			resp.Outcomes = append(resp.Outcomes, "degraded")
+			if !req.Warm {
+				resp.Points = append(resp.Points, stubAnswer(p))
+			}
+		}
+		writeJSON(w, http.StatusOK, &resp)
+	}))
+	defer stub.Close()
+	exact := httptest.NewServer(server.New(server.Config{Workers: 2, ShardName: "real"}).Handler())
+	defer exact.Close()
+	rt, err := NewRouter(RouterConfig{
+		Shards:         map[string]string{"stub": stub.URL, "real": exact.URL},
+		HealthInterval: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	front := httptest.NewServer(rt.Handler())
+	defer front.Close()
+
+	body := `{"formats":["720p30"],"channels":[1,2,3,4],"freqs_mhz":[200,400],"fraction":0.05}`
+	var sweep server.SweepRequest
+	if err := json.Unmarshal([]byte(body), &sweep); err != nil {
+		t.Fatal(err)
+	}
+	grid, err := sweep.Grid(rt.cfg.MaxSweepPoints)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ref server.SweepResponse
+	if err := json.Unmarshal(singleSweep(t, body), &ref); err != nil {
+		t.Fatal(err)
+	}
+	// want is the grid-order answer: the stub's for the points it owns,
+	// the single daemon's for the rest.
+	want := make([]server.SimulateResponse, len(grid))
+	owned := map[string]int{}
+	for i, p := range grid {
+		key, err := keyFor(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		owner := rt.Ring().Owner(key)
+		owned[owner]++
+		want[i] = ref.Points[i]
+		if owner == "stub" {
+			want[i] = stubAnswer(p)
+		}
+	}
+	if owned["stub"] == 0 || owned["real"] == 0 {
+		t.Fatalf("grid placement %v leaves a shard without points; widen the grid", owned)
+	}
+	checkPoints := func(name string, got []server.SimulateResponse) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d points, want %d", name, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("%s: point %d = %+v, want %+v", name, i, got[i], want[i])
+			}
+		}
+	}
+
+	resp := post(t, front.URL+"/v1/sweep", body)
+	raw := readAll(t, resp)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("sweep: status %d, body %s", resp.StatusCode, raw)
+	}
+	if got := resp.Header.Get("X-Sim-Degraded"); got != "true" {
+		t.Errorf("sweep: X-Sim-Degraded = %q, want true", got)
+	}
+	var merged server.SweepResponse
+	if err := json.Unmarshal(raw, &merged); err != nil {
+		t.Fatal(err)
+	}
+	if !merged.Degraded {
+		t.Error("sweep: merged body not flagged degraded")
+	}
+	checkPoints("sweep", merged.Points)
+
+	batchBody, err := json.Marshal(&server.BatchRequest{Points: grid})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp = post(t, front.URL+"/v1/batch", string(batchBody))
+	raw = readAll(t, resp)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch: status %d, body %s", resp.StatusCode, raw)
+	}
+	if got := resp.Header.Get("X-Sim-Degraded"); got != "true" {
+		t.Errorf("batch: X-Sim-Degraded = %q, want true", got)
+	}
+	var batch server.BatchResponse
+	if err := json.Unmarshal(raw, &batch); err != nil {
+		t.Fatal(err)
+	}
+	if !batch.Degraded {
+		t.Error("batch: merged body not flagged degraded")
+	}
+	checkPoints("batch", batch.Points)
+	for i, o := range batch.Outcomes {
+		if (o == "degraded") != want[i].Degraded {
+			t.Errorf("batch: outcome %d = %q for point %+v", i, o, want[i])
+		}
+	}
+}
