@@ -1,6 +1,7 @@
 #!/bin/sh
 # ci.sh — the repository's check suite: static analysis, formatting,
-# race-enabled tests, the probe-overhead guard asserting that the
+# race-enabled tests (plus a 50-pass race stress of concurrent metric
+# registration), the probe-overhead guard asserting that the
 # disabled observability path stays within PROBE_OVERHEAD_MAX_PCT
 # (default 2%) of the uninstrumented channel throughput, a fuzz smoke
 # pass over the parser/decoder fuzz targets, the fault determinism
@@ -66,6 +67,12 @@ fi
 
 echo "== go test -race =="
 go test -race ./...
+
+echo "== metrics registration race stress =="
+# One -race pass can miss a registration race; fifty back-to-back runs of
+# the concurrent-registration test have caught one that a single pass did
+# not.
+go test -race -count=50 -run 'TestConcurrentRegistration$' ./internal/metrics
 
 echo "== protocol checker soak =="
 # Randomized workloads replayed with the timing-invariant checker

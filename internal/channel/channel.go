@@ -236,6 +236,16 @@ func (ch *Channel) Controller() *controller.Controller { return ch.ctl }
 // full request path: enqueue, DRAM commands, power states, completion.
 func (ch *Channel) Observed() bool { return ch.ctl.HasProbe() }
 
+// CopyStateFrom makes ch's controller and reorder window copies of src's,
+// so ch continues exactly as src would (see
+// controller.Controller.CopyStateFrom). Both channels must be fault-free
+// and built from one configuration apart from the channel index and the
+// probe sink, which ch keeps.
+func (ch *Channel) CopyStateFrom(src *Channel) {
+	ch.ctl.CopyStateFrom(src.ctl)
+	ch.queue.CopyStateFrom(src.queue)
+}
+
 // Reset restores the channel to its initial state, rewinding the fault
 // decision stream (when one is attached) along with the controller and the
 // reorder window, so a reset channel replays the identical run.

@@ -923,6 +923,32 @@ func (c *Controller) Latency() *stats.Histogram { return &c.lat }
 // left the bus.
 func (c *Controller) BusyCycles() int64 { return c.st.BusyCycles }
 
+// CopyStateFrom makes c's simulation state a copy of src's, so c continues
+// exactly as src would: banks, timing registers, refresh schedule, write
+// buffer, partition table, stats and latency histogram. c keeps its
+// identity — its configuration (and with it the channel index) and its
+// probe sink — and src must have been built from the same configuration
+// apart from those. The slices are copied into c's existing backing
+// arrays, so a copy allocates nothing once c's buffers have grown.
+func (c *Controller) CopyStateFrom(src *Controller) {
+	cfg, sink, chID := c.cfg, c.probe, c.chID
+	banks, wbuf, part := c.banks, c.wbuf, c.partGroup
+	*c = *src
+	c.cfg, c.probe, c.chID = cfg, sink, chID
+	c.banks = copyInto(banks, src.banks)
+	c.wbuf = copyInto(wbuf, src.wbuf)
+	c.partGroup = copyInto(part, src.partGroup)
+}
+
+// copyInto returns src's elements in dst's backing array (grown when too
+// small). A nil src stays nil, so the copy is deeply equal to src.
+func copyInto[T any](dst, src []T) []T {
+	if src == nil {
+		return nil
+	}
+	return append(dst[:0], src...)
+}
+
 // Reset returns the controller to its initial state, keeping configuration.
 // The probe sink (when configured) is retained; its event stream restarts
 // from cycle zero. Reset rebuilds through New rather than zeroing fields by

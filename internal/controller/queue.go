@@ -264,6 +264,18 @@ func (q *ReorderQueue) Flush() int64 {
 	return q.ctl.Flush()
 }
 
+// CopyStateFrom makes q's window a copy of src's — pending runs, sequence
+// and starvation counters, and the continuation state — so q continues
+// exactly as src would. q keeps its controller; copying the controllers'
+// state is the caller's part (see Channel.CopyStateFrom). pending is
+// copied into q's existing backing array.
+func (q *ReorderQueue) CopyStateFrom(src *ReorderQueue) {
+	ctl, pending := q.ctl, q.pending
+	*q = *src
+	q.ctl = ctl
+	q.pending = copyInto(pending, src.pending)
+}
+
 // Pending returns the number of queued bursts.
 func (q *ReorderQueue) Pending() int { return q.count }
 

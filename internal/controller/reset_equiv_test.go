@@ -235,3 +235,137 @@ func TestResetFieldEquivalence(t *testing.T) {
 		})
 	}
 }
+
+// TestCopyStateFieldEquivalence walks every Controller and ReorderQueue
+// field by reflection and requires CopyStateFrom to reproduce each one
+// from the source, except the identity fields the destination keeps. A
+// field added to either struct later is then copied by construction or
+// named here; it cannot silently stay behind when a channel forks from its
+// class leader. Copied slices must not share the source's backing arrays,
+// or the two channels would step on each other's state.
+func TestCopyStateFieldEquivalence(t *testing.T) {
+	speed := speed400(t)
+	ctlIdentity := map[string]bool{"cfg": true, "probe": true, "chID": true}
+	queueIdentity := map[string]bool{"ctl": true}
+	for _, pol := range []PagePolicy{OpenPage, ClosedPage, FRFCFS, BankPartition} {
+		t.Run(pol.String(), func(t *testing.T) {
+			base := Config{Speed: speed, Policy: pol, PowerDown: true, RecordLatency: true,
+				WriteBufferDepth: 8, RefreshPostpone: 2}
+			srcCfg, dstCfg := base, base
+			srcCfg.Channel = 2
+			dstCfg.Channel = 5
+			dstCfg.Probe = &probe.Recorder{}
+			dstCfg.SynthCoalescedEvents = true // keeps dst's exact flag equal to src's
+
+			// Dirty both sides, differently, and leave writes posted and
+			// runs pending in the window so no slice is empty.
+			dirty := func(ctl *Controller, seed int64) *ReorderQueue {
+				q := NewReorderQueue(ctl, 8)
+				var end int64
+				for i := int64(0); i < 200+seed; i++ {
+					arrival := end
+					if i%37 == 0 {
+						arrival += speed.REFI * 2
+					}
+					loc := ctl.MapStream(int((i+seed)%5), ctl.Decode((i*208+seed*64)&^15))
+					end = q.AccessRow(i%4 == 0, loc, 1+int(i%3), arrival)
+				}
+				return q
+			}
+			src := newCtl(t, srcCfg)
+			srcQ := dirty(src, 0)
+			dst := newCtl(t, dstCfg)
+			dstQ := dirty(dst, 7)
+			if len(src.wbuf) == 0 || len(src.partGroup) == 0 && pol == BankPartition || len(srcQ.pending) == 0 {
+				t.Fatalf("source not dirty enough: wbuf %d, partGroup %d, pending %d",
+					len(src.wbuf), len(src.partGroup), len(srcQ.pending))
+			}
+			before, beforeQ := *dst, *dstQ
+			dst.CopyStateFrom(src)
+			dstQ.CopyStateFrom(srcQ)
+			checkCopy(t, reflect.ValueOf(dst).Elem(), reflect.ValueOf(src).Elem(),
+				reflect.ValueOf(&before).Elem(), ctlIdentity)
+			checkCopy(t, reflect.ValueOf(dstQ).Elem(), reflect.ValueOf(srcQ).Elem(),
+				reflect.ValueOf(&beforeQ).Elem(), queueIdentity)
+
+			// The copy continues exactly like the source.
+			for i := int64(0); i < 100; i++ {
+				loc := src.Decode((i * 4096) &^ 15)
+				if a, b := srcQ.AccessRow(false, loc, 3, i*50), dstQ.AccessRow(false, loc, 3, i*50); a != b {
+					t.Fatalf("op %d: copy completed at %d, source at %d", i, b, a)
+				}
+			}
+			if a, b := srcQ.Flush(), dstQ.Flush(); a != b || src.Stats() != dst.Stats() ||
+				!reflect.DeepEqual(src.Latency(), dst.Latency()) {
+				t.Errorf("copy diverged from the source: flush %d vs %d, stats %+v vs %+v", b, a, dst.Stats(), src.Stats())
+			}
+
+			// A workload leaves some fields equal on both sides (a flag
+			// never set, a counter still zero), so a field the copy missed
+			// could pass above. Give every scalar of the source's state a
+			// value of its own, then copy again.
+			rng := rand.New(rand.NewSource(int64(pol) + 1))
+			scramble(reflect.ValueOf(src).Elem(), ctlIdentity, rng)
+			scramble(reflect.ValueOf(srcQ).Elem(), queueIdentity, rng)
+			before, beforeQ = *dst, *dstQ
+			dst.CopyStateFrom(src)
+			dstQ.CopyStateFrom(srcQ)
+			checkCopy(t, reflect.ValueOf(dst).Elem(), reflect.ValueOf(src).Elem(),
+				reflect.ValueOf(&before).Elem(), ctlIdentity)
+			checkCopy(t, reflect.ValueOf(dstQ).Elem(), reflect.ValueOf(srcQ).Elem(),
+				reflect.ValueOf(&beforeQ).Elem(), queueIdentity)
+		})
+	}
+}
+
+// scramble overwrites every integer and bool reachable through the
+// struct's fields (nested structs, arrays and slice elements), except the
+// named top-level fields, with random values. Interfaces and pointers are
+// left alone.
+func scramble(v reflect.Value, skip map[string]bool, rng *rand.Rand) {
+	for i := 0; i < v.NumField(); i++ {
+		if !skip[v.Type().Field(i).Name] {
+			f := v.Field(i)
+			scrambleValue(reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Elem(), rng)
+		}
+	}
+}
+
+func scrambleValue(v reflect.Value, rng *rand.Rand) {
+	switch v.Kind() {
+	case reflect.Bool:
+		v.SetBool(!v.Bool())
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(v.Int() + 1 + rng.Int63n(100))
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		v.SetUint(v.Uint() + 1 + uint64(rng.Int63n(100)))
+	case reflect.Struct:
+		scramble(v, nil, rng)
+	case reflect.Array, reflect.Slice:
+		for i := 0; i < v.Len(); i++ {
+			scrambleValue(v.Index(i), rng)
+		}
+	}
+}
+
+// checkCopy requires every field of got to equal src's, except the
+// identity fields, which must equal keep's, and every non-empty slice
+// field to own its backing array.
+func checkCopy(t *testing.T, got, src, keep reflect.Value, identity map[string]bool) {
+	t.Helper()
+	for i := 0; i < got.NumField(); i++ {
+		name := got.Type().Field(i).Name
+		want := src
+		if identity[name] {
+			want = keep
+		}
+		g, w := fieldValue(got, i), fieldValue(want, i)
+		if !reflect.DeepEqual(g, w) {
+			t.Errorf("%s.%s: copy has %+v, want %+v", got.Type().Name(), name, g, w)
+		}
+		if f := got.Field(i); f.Kind() == reflect.Slice && !identity[name] && f.Len() > 0 &&
+			f.Pointer() == src.Field(i).Pointer() {
+			t.Errorf("%s.%s: copy shares the source's backing array", got.Type().Name(), name)
+		}
+	}
+}

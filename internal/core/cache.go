@@ -27,6 +27,13 @@ import (
 // folds into every key via the reflective field walk.
 const CacheSchemaVersion = "v2"
 
+// AnswerFingerprint hashes Simulate's answers on a small fixed point set
+// (see TestAnswerFingerprint). A change that moves any of them fails that
+// test until this constant is re-recorded, and that is the reminder to bump
+// CacheSchemaVersion too: every cache keyed by the old version would
+// otherwise keep serving the old answers.
+const AnswerFingerprint = "15c5c836400fba61"
+
 // CacheStats is a snapshot of a SimCache's lookup counters.
 type CacheStats struct {
 	// MemHits counts lookups answered by the in-process memo (including

@@ -158,6 +158,16 @@ type System struct {
 	burstShift uint
 	segs       []channel.Segment
 
+	// Channel classes (see dispatchRuns): rep[c] <= c is the leader of
+	// channel c's class, the channels that have received identical runs
+	// since Reset, and classes counts them. Only leaders are stepped; a
+	// member's own state is stale until it forks or Run ends. rep is empty
+	// when classes are off (one channel, or an observed, faulted or
+	// NoCoalesce system) and once every channel leads a class of its own,
+	// which is plain per-channel stepping; Reset restores it.
+	rep     []int
+	classes int
+
 	// Fault state. The dispatch clock is a deterministic lower bound on
 	// the simulation time at the point of dispatch — the latest request
 	// arrival seen, or the dispatched data-bus cycles spread evenly over
@@ -255,6 +265,9 @@ func New(cfg Config) (*System, error) {
 		}
 		s.chans = append(s.chans, ch)
 	}
+	if cfg.Channels > 1 && !cfg.NoCoalesce && s.inj == nil && !s.observed() {
+		s.rep, s.classes = make([]int, cfg.Channels), 1
+	}
 	return s, nil
 }
 
@@ -348,6 +361,14 @@ func (r Result) BusUtilization() float64 {
 // per-burst, so event streams and fault decision draws are untouched.
 // Either way the per-channel op order — and therefore every reported
 // number — is bit-identical.
+//
+// On an unobserved, fault-free, coalescing system of more than one
+// channel, channels that have received identical runs since Reset form a
+// class that dispatchRuns steps once, through its leader. At the end of
+// Run the leaders are flushed and each member takes its leader's state,
+// so Result.PerChannel, every Channels()[i].Stats() and Latency(), and
+// any later Run on the same System see exactly the state per-channel
+// stepping would have left.
 func (s *System) Run(src Source) (Result, error) {
 	if m := activeMeter.Load(); m != nil {
 		m.runs.Inc()
@@ -371,9 +392,11 @@ func (s *System) Run(src Source) (Result, error) {
 			break
 		}
 		if req.Bytes <= 0 {
+			s.syncClasses()
 			return Result{}, fmt.Errorf("memsys: transaction with %d bytes", req.Bytes)
 		}
 		if req.Addr < 0 {
+			s.syncClasses()
 			return Result{}, fmt.Errorf("memsys: negative address %d", req.Addr)
 		}
 		res.Transactions++
@@ -410,10 +433,16 @@ func (s *System) Run(src Source) (Result, error) {
 		res.BusBytes += bursts * burst
 	}
 	for i, ch := range s.chans {
+		if len(s.rep) != 0 && s.rep[i] != i {
+			continue // its leader's flush stands for it
+		}
 		// Drain any posted writes so the makespan covers all traffic.
 		if done := ch.Flush(); done > last {
 			last = done
 		}
+	}
+	s.syncClasses()
+	for i, ch := range s.chans {
 		res.PerChannel[i] = ch.Stats()
 	}
 	res.Cycles = s.onchip.Complete(last)
@@ -426,6 +455,16 @@ func (s *System) Run(src Source) (Result, error) {
 		res.DropClock = s.dropClock
 	}
 	return res, nil
+}
+
+// syncClasses copies each class leader's state into the class's members,
+// so every channel reads back exactly as if it had been stepped itself.
+func (s *System) syncClasses() {
+	for c, l := range s.rep {
+		if l != c {
+			s.chans[c].CopyStateFrom(s.chans[l])
+		}
+	}
 }
 
 // observed reports whether any channel has a probe sink attached; coalesced
@@ -456,13 +495,56 @@ func (s *System) observed() bool {
 // tile does — and the following channels reuse its segments, which is
 // sound because every channel shares one geometry and multiplexing. The
 // stream remap stays per channel, inside AccessSegments.
+//
+// With channel classes on (s.rep), channels that have received identical
+// runs since Reset hold identical state, so only each class's leader is
+// stepped. A first pass, before any channel steps, splits the classes this
+// transaction's runs tell apart: a member whose (head, tail) differs from
+// its leader's joins the class split off just before it when that class
+// got the same run, and otherwise forks, copying its leader's state into
+// its own buffers and leading a class of its own. Monotone head and tail
+// keep every class a contiguous interval, and a class only ever splits, so
+// there are at most M − 1 forks between Resets; paper traffic needs one
+// only at a stream's ragged last tile. Once every channel leads its own
+// class the bookkeeping stops until Reset. Run copies each leader's final
+// state into its members.
 func (s *System) dispatchRuns(write bool, start, bytes int64, stream int, arrival int64, last *int64) {
 	gran := s.interleave.Granularity()
 	st, off := s.stripe.divmod(start)
 	q, r := s.stripe.divmod(off + bytes)
 	local0, full := st*gran, q*gran
+	if lg := int64(len(s.chans)-1) * gran; len(s.rep) != 0 &&
+		(clamp(off-lg, gran) != clamp(off, gran) || clamp(r-lg, gran) != clamp(r, gran)) {
+		// The class pass; the runs differ, since head and tail are
+		// monotone in c and equal at both ends only when equal throughout.
+		for c, cg := 1, gran; c < len(s.chans); c, cg = c+1, cg+gran {
+			l := s.rep[c]
+			if l == c {
+				continue
+			}
+			h, t := clamp(off-cg, gran), clamp(r-cg, gran)
+			if lg := int64(l) * gran; h == clamp(off-lg, gran) && t == clamp(r-lg, gran) {
+				continue
+			}
+			// c-1 is in l's class too (classes are intervals); if it left
+			// the class in this pass, it did so for its own run.
+			if p := s.rep[c-1]; p != l && h == clamp(off-cg+gran, gran) && t == clamp(r-cg+gran, gran) {
+				s.rep[c] = p
+				continue
+			}
+			s.chans[c].CopyStateFrom(s.chans[l]) // fork
+			s.rep[c] = c
+			s.classes++
+		}
+		if s.classes == len(s.chans) {
+			s.rep = s.rep[:0]
+		}
+	}
 	head, tail := int64(-1), int64(-1) // the walked run's; none walked yet
 	for c, cg := 0, int64(0); c < len(s.chans); c, cg = c+1, cg+gran {
+		if len(s.rep) != 0 && s.rep[c] != c {
+			continue
+		}
 		h, t := clamp(off-cg, gran), clamp(r-cg, gran)
 		n := int((full + t - h) >> s.burstShift)
 		if n == 0 {
@@ -590,6 +672,11 @@ func (s *System) Reset() {
 	for _, ch := range s.chans {
 		ch.Reset()
 	}
+	s.rep = s.rep[:cap(s.rep)]
+	for c := range s.rep {
+		s.rep[c] = 0
+	}
+	s.classes = 1
 	s.dropped = false
 	s.deadChannel = -1
 	s.dropClock = 0

@@ -230,7 +230,11 @@ func metricID(name string, labels []Label) (string, []Label) {
 // lookup returns (creating if needed) the registered slot for the identity,
 // verifying kind agreement: registering one id at two kinds is a
 // programming error and panics immediately rather than corrupting exports.
-func (r *Registry) lookup(name string, labels []Label, k kind) *registered {
+// A new slot's instrument (a histogram over bounds for kindHistogram) is
+// built before the slot is published, under r.mu, so concurrent
+// registrations of one identity share one instrument and Snapshot never
+// meets a slot without one. The instrument fields never change afterwards.
+func (r *Registry) lookup(name string, labels []Label, k kind, bounds []float64) *registered {
 	id, ls := metricID(name, labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -241,6 +245,14 @@ func (r *Registry) lookup(name string, labels []Label, k kind) *registered {
 		return m
 	}
 	m := &registered{name: name, labels: ls, id: id, kind: k}
+	switch k {
+	case kindCounter:
+		m.counter = NewCounter()
+	case kindGauge:
+		m.gauge = NewGauge()
+	case kindHistogram:
+		m.hist = NewHistogram(bounds)
+	}
 	r.metrics[id] = m
 	r.order = append(r.order, id)
 	return m
@@ -252,11 +264,7 @@ func (r *Registry) Counter(name string, labels ...Label) *Counter {
 	if r == nil {
 		return nil
 	}
-	m := r.lookup(name, labels, kindCounter)
-	if m.counter == nil {
-		m.counter = NewCounter()
-	}
-	return m.counter
+	return r.lookup(name, labels, kindCounter, nil).counter
 }
 
 // Gauge returns the gauge registered under name+labels.
@@ -264,11 +272,7 @@ func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
 	if r == nil {
 		return nil
 	}
-	m := r.lookup(name, labels, kindGauge)
-	if m.gauge == nil {
-		m.gauge = NewGauge()
-	}
-	return m.gauge
+	return r.lookup(name, labels, kindGauge, nil).gauge
 }
 
 // Histogram returns the histogram registered under name+labels with the
@@ -277,9 +281,5 @@ func (r *Registry) Histogram(name string, bounds []float64, labels ...Label) *Hi
 	if r == nil {
 		return nil
 	}
-	m := r.lookup(name, labels, kindHistogram)
-	if m.hist == nil {
-		m.hist = NewHistogram(bounds)
-	}
-	return m.hist
+	return r.lookup(name, labels, kindHistogram, bounds).hist
 }

@@ -51,6 +51,8 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	r.mu.Unlock()
 
+	// Each slot's instrument was set before the slot was published under
+	// r.mu (see lookup), so reading it here needs no lock.
 	snap := make(Snapshot, 0, len(ms))
 	for _, m := range ms {
 		e := Entry{Name: m.name, Labels: m.labels, Type: m.kind.String(), id: m.id}

@@ -53,10 +53,20 @@ func TestBatchEndpoint(t *testing.T) {
 			t.Errorf("point %d = %+v, want %+v", i, resp.Points[i], want)
 		}
 	}
-	// Point 2 repeats point 0 inside one batch, so it is answered by the
-	// memo (a hit or a single-flight join), never simulated twice.
-	if resp.Outcomes[2] == "simulated" {
-		t.Errorf("duplicate point outcome = %q, want hit or joined", resp.Outcomes[2])
+	// Point 2 repeats point 0 inside one batch, so exactly one of the two
+	// is simulated and the other is answered by the memo (a hit or a
+	// single-flight join). Which one simulates depends on which worker
+	// reaches the memo first: with two workers, point 2 can start once
+	// point 1 is done, before point 0's worker has looked its key up.
+	sims := 0
+	for _, o := range []string{resp.Outcomes[0], resp.Outcomes[2]} {
+		if o == "simulated" {
+			sims++
+		}
+	}
+	if sims != 1 {
+		t.Errorf("duplicate points' outcomes = %q and %q, want one simulated and one hit or joined",
+			resp.Outcomes[0], resp.Outcomes[2])
 	}
 	for i, o := range resp.Outcomes[:2] {
 		if o != "simulated" && o != "joined" && o != "hit" {
