@@ -5,28 +5,12 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/report"
 )
 
 // renderAll renders every artifact of the paper run (the -all equivalent)
 // into one string, in both table and CSV form.
 func renderAll(t *testing.T, opt core.RunOptions) string {
 	t.Helper()
-	artifacts := []struct {
-		name string
-		run  func(core.RunOptions) (*report.Table, error)
-	}{
-		{"table1", tableI},
-		{"fig3", fig3},
-		{"fig4", fig4},
-		{"fig5", fig5},
-		{"xdr", xdrTable},
-		{"ablations", ablations},
-		{"geometry", geometry},
-		{"operating", operating},
-		{"interleave", interleave},
-		{"faults", faults},
-	}
 	var b strings.Builder
 	for _, a := range artifacts {
 		tb, err := a.run(opt)

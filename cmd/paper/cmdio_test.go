@@ -1,41 +1,18 @@
 package main
 
 import (
-	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/cli/clitest"
 	"repro/internal/probe"
 )
 
-// TestMain doubles as a re-exec shim: with PAPER_RUN_MAIN=1 the test
-// binary becomes the paper command itself (see cmd/sweep/cmdio_test.go for
-// the pattern).
-func TestMain(m *testing.M) {
-	if os.Getenv("PAPER_RUN_MAIN") == "1" {
-		main()
-		os.Exit(0)
-	}
-	os.Exit(m.Run())
-}
+func TestMain(m *testing.M) { clitest.Main(m, main) }
 
-func runPaper(t *testing.T, args ...string) (stdout, stderr string, code int) {
-	t.Helper()
-	cmd := exec.Command(os.Args[0], args...)
-	cmd.Env = append(os.Environ(), "PAPER_RUN_MAIN=1")
-	var out, errb strings.Builder
-	cmd.Stdout = &out
-	cmd.Stderr = &errb
-	err := cmd.Run()
-	if ee, ok := err.(*exec.ExitError); ok {
-		code = ee.ExitCode()
-	} else if err != nil {
-		t.Fatal(err)
-	}
-	return out.String(), errb.String(), code
-}
+// runPaper runs the paper command in a child process.
+var runPaper = clitest.Run
 
 // TestPaperStdoutByteIdentical: one artifact rendered with the full
 // observability surface on matches the plain rendering byte for byte.
@@ -77,11 +54,11 @@ func TestPaperStdoutByteIdentical(t *testing.T) {
 	}
 }
 
-// TestPaperFlagValidationExits: malformed observability flags exit 2 with
-// the offending flag named on stderr.
+// TestPaperFlagValidationExits: malformed flags exit 2 with the
+// offending flag named on stderr, before any artifact renders.
 func TestPaperFlagValidationExits(t *testing.T) {
 	missing := filepath.Join(t.TempDir(), "no-such-dir", "summary.json")
-	cases := []struct {
+	for _, tc := range []struct {
 		name string
 		args []string
 		want string
@@ -89,19 +66,11 @@ func TestPaperFlagValidationExits(t *testing.T) {
 		{"debug-addr no port", []string{"-debug-addr", "localhost"}, "-debug-addr"},
 		{"debug-addr bad port", []string{"-debug-addr", ":-1"}, "-debug-addr"},
 		{"summary-out unwritable", []string{"-summary-out", missing}, "-summary-out"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			stdout, stderr, code := runPaper(t, tc.args...)
-			if code != 2 {
-				t.Fatalf("exit = %d, want 2 (stderr: %s)", code, stderr)
-			}
-			if !strings.Contains(stderr, tc.want) {
-				t.Errorf("stderr missing %q:\n%s", tc.want, stderr)
-			}
-			if stdout != "" {
-				t.Errorf("usage error wrote to stdout: %q", stdout)
-			}
-		})
+		{"unknown policy", []string{"-policy", "bogus"}, "-policy"},
+		{"unknown device", []string{"-device", "bogus"}, "-device"},
+		{"fraction above 1", []string{"-fraction", "2"}, "-fraction"},
+		{"fraction zero", []string{"-fraction", "0"}, "-fraction"},
+	} {
+		t.Run(tc.name, func(t *testing.T) { clitest.UsageExit(t, tc.want, tc.args...) })
 	}
 }

@@ -15,131 +15,71 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
-	"strings"
 	"time"
 
-	"repro/internal/controller"
+	"repro/internal/cli"
 	"repro/internal/core"
-	"repro/internal/debugserver"
-	"repro/internal/dram"
 	"repro/internal/fault"
-	"repro/internal/metrics"
 	"repro/internal/probe"
 	"repro/internal/report"
 	"repro/internal/units"
 	"repro/internal/usecase"
 )
 
-func main() {
-	var (
-		only     = flag.String("only", "", "render one artifact: table1, fig3, fig4, fig5, xdr, ablations, geometry, operating, interleave, faults")
-		csv      = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		fraction = flag.Float64("fraction", 0.2, "fraction of each frame to simulate (results extrapolate linearly)")
-		jobs     = flag.Int("jobs", 0, "concurrent sweep points per artifact (0 = one per CPU, 1 = serial); output is identical at any job count")
-		policy   = flag.String("policy", "", "controller scheduling policy for every artifact: "+strings.Join(controller.PolicyNames(), ", ")+" (empty = open-page)")
-		device   = flag.String("device", "", "DRAM datasheet for every artifact: "+strings.Join(dram.DeviceNames(), ", ")+" (empty = paper)")
-		dir      = flag.String("dir", "", "also write each artifact to <dir>/<name>.txt (or .csv)")
+func init() { cli.Name = "paper" }
 
-		probeWindow = flag.Int64("probe-window", 100000, "time-series epoch length in DRAM cycles (for -metrics-out)")
-		traceOut    = flag.String("trace-out", "", "write a Chrome/Perfetto trace-event JSON of an instrumented flagship run (1080p30, 4 ch @ 400 MHz)")
-		metricsOut  = flag.String("metrics-out", "", "write the instrumented run's windowed time-series metrics (.json = JSON, else CSV)")
-		checkRun    = flag.Bool("check", false, "verify the flagship run's DRAM commands against the device timing constraints (violations are fatal)")
-		noCache     = flag.Bool("no-cache", false, "simulate every point even when artifacts overlap (disables the content-addressed result cache; output is byte-identical either way)")
-		debugAddr   = flag.String("debug-addr", "", "serve /metrics, /metrics.json, expvar and pprof on this host:port for the run's duration (e.g. 127.0.0.1:0)")
-		summaryOut  = flag.String("summary-out", "", "write a schema-versioned end-of-run summary JSON (manifest + metrics snapshot) to this file")
-		progress    = flag.Bool("progress", false, "print periodic progress lines (points done, cache-hit rate, ETA) to stderr; stdout is unchanged")
+// artifacts are the paper's tables and figures, in rendering order.
+var artifacts = []struct {
+	name string
+	run  func(core.RunOptions) (*report.Table, error)
+}{
+	{"table1", tableI},
+	{"fig3", fig3},
+	{"fig4", fig4},
+	{"fig5", fig5},
+	{"xdr", xdrTable},
+	{"ablations", ablations},
+	{"geometry", geometry},
+	{"operating", operating},
+	{"interleave", interleave},
+	{"faults", faults},
+}
+
+func main() {
+	fs := flag.CommandLine
+	var (
+		only = flag.String("only", "", "render one artifact: table1, fig3, fig4, fig5, xdr, ablations, geometry, operating, interleave, faults")
+		csv  = flag.Bool("csv", false, "emit CSV instead of aligned tables")
+		dir  = flag.String("dir", "", "also write each artifact to <dir>/<name>.txt (or .csv)")
+		jobs int
 	)
+	model := cli.ModelFlags(fs, "0.2", false)
+	cli.JobsFlag(fs, &jobs)
+	observed := cli.ObservedFlags(fs)
+	run := cli.RunFlags(fs)
+	run.ProgressFlag(fs)
+	var cache cli.Cache
+	cache.OffFlag(fs)
 	flag.Parse()
-	if *jobs < 0 {
-		usageError("-jobs must be >= 0 (0 = one per CPU), got %d", *jobs)
-	}
-	if *probeWindow <= 0 {
-		usageError("-probe-window must be positive, got %d", *probeWindow)
-	}
-	if !(*fraction > 0) || *fraction > 1 {
-		usageError("-fraction must be in (0,1], got %v", *fraction)
-	}
-	for _, out := range []string{*traceOut, *metricsOut} {
-		if err := probe.CheckWritable(out); err != nil {
-			fatal(fmt.Errorf("output not writable: %w", err))
-		}
-	}
-	if *debugAddr != "" {
-		if err := debugserver.ValidateAddr(*debugAddr); err != nil {
-			usageError("-debug-addr %q: %v", *debugAddr, err)
-		}
-	}
-	if err := probe.CheckWritable(*summaryOut); err != nil {
-		usageError("-summary-out not writable: %v", err)
-	}
-	pol, err := controller.ParsePolicy(*policy)
-	if err != nil {
-		usageError("-policy: %v", err)
-	}
-	if _, err := dram.Device(*device); err != nil {
-		usageError("-device: %v", err)
-	}
-	opt := core.RunOptions{SampleFraction: *fraction, Jobs: *jobs, Policy: pol, Device: *device}
+	opt := core.RunOptions{SampleFraction: model.Fraction, Jobs: jobs, Policy: model.PagePolicy(), Device: model.Device}
 
 	// Run-level observability: the registry exists only when a flag
 	// consumes it (stdout stays byte-identical either way), and the phase
 	// span recorder rides along with -trace-out so the Perfetto document
 	// shows where the host time of the whole run went.
-	var reg *metrics.Registry
-	if *debugAddr != "" || *summaryOut != "" || *progress {
-		reg = metrics.NewRegistry()
-		core.EnableMetrics(reg)
-		defer core.EnableMetrics(nil)
-	}
-	if *debugAddr != "" {
-		srv, err := debugserver.Start(*debugAddr, reg)
-		if err != nil {
-			fatal(err)
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "paper: debug: listening on %s\n", srv.Addr())
-	}
-	var spans *probe.Spans
-	if *traceOut != "" {
-		spans = probe.NewSpans()
-		core.EnableSpans(spans)
-		defer core.EnableSpans(nil)
-	}
-	start := time.Now()
+	defer run.Start()()
+	defer observed.StartSpans()()
 
 	// The artifacts overlap heavily (the format matrix alone backs both
 	// Fig. 4 and Fig. 5, and the XDR rows reuse its 8-channel points), so a
 	// process-wide content-addressed cache simulates each distinct point
 	// once. Observed runs (-check, -trace-out, -metrics-out, faults) bypass
-	// it automatically; the summary goes to stderr so stdout stays
-	// byte-identical with -no-cache.
-	var cache *core.SimCache
-	if !*noCache {
-		cache = core.NewSimCache()
-		core.EnableCache(cache)
-	}
-
-	artifacts := []struct {
-		name string
-		run  func(core.RunOptions) (*report.Table, error)
-	}{
-		{"table1", tableI},
-		{"fig3", fig3},
-		{"fig4", fig4},
-		{"fig5", fig5},
-		{"xdr", xdrTable},
-		{"ablations", ablations},
-		{"geometry", geometry},
-		{"operating", operating},
-		{"interleave", interleave},
-		{"faults", faults},
-	}
-	var prog *core.Progress
-	if *progress {
-		prog = core.StartProgress(os.Stderr, time.Second)
-	}
+	// it automatically.
+	defer cache.Enable(true)()
+	prog := run.StartProgress()
 	ran := false
 	for _, a := range artifacts {
 		if *only != "" && *only != a.name {
@@ -148,142 +88,70 @@ func main() {
 		ran = true
 		t, err := a.run(opt)
 		if err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
-		if *csv {
-			if err := t.RenderCSV(os.Stdout); err != nil {
-				fatal(err)
-			}
-		} else {
-			if err := t.Render(os.Stdout); err != nil {
-				fatal(err)
-			}
+		if err := render(os.Stdout, t, *csv); err != nil {
+			cli.Fatal(err)
 		}
 		fmt.Println()
 		if *dir != "" {
 			if err := writeArtifact(*dir, a.name, t, *csv); err != nil {
-				fatal(err)
+				cli.Fatal(err)
 			}
 		}
 	}
 	prog.Stop()
 	if !ran {
-		fatal(fmt.Errorf("unknown artifact %q", *only))
+		cli.Fatal(fmt.Errorf("unknown artifact %q", *only))
 	}
-	if *traceOut != "" || *metricsOut != "" {
-		outputs, err := writeObservability(*fraction, *probeWindow, *traceOut, *metricsOut, spans)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("observability: wrote %v\n", outputs)
+	if err := flagship(observed, model.Fraction); err != nil {
+		cli.Fatal(err)
 	}
-	if *checkRun {
-		if err := runChecked(*fraction); err != nil {
-			fatal(err)
-		}
+	man := probe.NewManifest(cli.Name)
+	man.SampleFraction = model.Fraction
+	man.Config = map[string]any{
+		"only": *only, "csv": *csv, "jobs": jobs,
+		"policy": opt.Policy.String(), "device": model.Device,
 	}
-	if cache != nil {
-		fmt.Fprintln(os.Stderr, "paper: cache:", cache.Stats())
-	}
-	if *summaryOut != "" {
-		man := probe.NewManifest("paper")
-		man.SampleFraction = *fraction
-		man.Config = map[string]any{
-			"only": *only, "csv": *csv, "jobs": *jobs,
-			"policy": pol.String(), "device": *device,
-		}
-		man.Finish(0, time.Since(start))
-		man.AddOutput("summary", *summaryOut)
-		if err := probe.NewSummary(man, reg.Snapshot()).Write(*summaryOut); err != nil {
-			fatal(fmt.Errorf("writing summary: %w", err))
-		}
-		fmt.Fprintf(os.Stderr, "paper: summary: wrote %s\n", *summaryOut)
-	}
+	run.WriteSummary(man, 0)
 }
 
-// runChecked replays the flagship configuration (1080p30 on 4 channels at
-// 400 MHz, the same point the observability outputs instrument) with the
-// protocol invariant checker attached; any violation of the device's
-// timing constraints is fatal.
-func runChecked(fraction float64) error {
+// flagship runs the paper's flagship configuration (1080p30 on 4 channels
+// at 400 MHz, the abstract's headline data point) observed as
+// -trace-out, -metrics-out and -check ask, writing the outputs with their
+// manifest and reporting the checker's verdict. With none of them set it
+// does nothing.
+func flagship(observed *cli.Observed, fraction float64) error {
+	if !observed.Enabled() && !observed.Check {
+		return nil
+	}
 	w, err := core.WorkloadFor("1080p30")
 	if err != nil {
 		return err
 	}
 	w.SampleFraction = fraction
 	mc := core.PaperMemory(4, 400*units.MHz)
-	set, err := core.AttachChecker(&mc)
-	if err != nil {
+	if err := observed.Attach(&mc); err != nil {
 		return err
 	}
-	if _, err := core.Simulate(w, mc); err != nil {
-		return err
-	}
-	if err := set.Err(); err != nil {
-		for _, v := range set.Violations() {
-			fmt.Fprintln(os.Stderr, "paper: check:", v)
-		}
-		return err
-	}
-	fmt.Println("check: flagship run verified against the device timing constraints")
-	return nil
-}
-
-// usageError reports a flag-validation failure and exits with the usage
-// status (2), matching the flag package's own error handling.
-func usageError(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "paper: %s\n", fmt.Sprintf(format, args...))
-	flag.Usage()
-	os.Exit(2)
-}
-
-// writeObservability runs the paper's flagship configuration (1080p30 on
-// 4 channels at 400 MHz — the abstract's headline data point) with event
-// probes attached and writes the requested trace/metrics files plus the
-// run manifest. spans, when non-nil, carries the whole run's phase spans
-// and is merged into the trace document. Returns the written artifacts.
-func writeObservability(fraction float64, window int64, traceOut, metricsOut string, spans *probe.Spans) (map[string]string, error) {
-	const (
-		obsFormat   = "1080p30"
-		obsChannels = 4
-		obsFreq     = 400 * units.MHz
-	)
-	w, err := core.WorkloadFor(obsFormat)
-	if err != nil {
-		return nil, err
-	}
-	w.SampleFraction = fraction
-	obs, err := probe.NewObserver(obsChannels, window, traceOut, metricsOut)
-	if err != nil {
-		return nil, err
-	}
-	obs.SetSpans(spans)
-	mc := core.PaperMemory(obsChannels, obsFreq)
-	mc.NewProbe = obs.Channel
 	start := time.Now()
 	res, err := core.Simulate(w, mc)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	man := probe.NewManifest("paper")
+	man := probe.NewManifest(cli.Name)
 	man.Channels = res.Channels
 	man.FreqMHz = float64(res.Freq) / float64(units.MHz)
 	man.SampleFraction = fraction
-	man.Config = map[string]any{"probe_window": window, "flagship": true}
+	man.Config["flagship"] = true
 	man.Workload = map[string]any{
 		"format": res.Format.Name, "level": res.Level.Number,
 		"frame_bytes": res.FrameBytes,
 	}
-	man.Finish(res.SimulatedCycles, time.Since(start))
-	if err := obs.WriteOutputs(&man); err != nil {
-		return nil, err
+	if err := observed.Write(man, res.SimulatedCycles, time.Since(start)); err != nil {
+		return err
 	}
-	return man.Outputs, nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "paper:", err)
-	os.Exit(1)
+	return observed.Verify("check: flagship run verified against the device timing constraints")
 }
 
 // writeArtifact saves one rendered artifact under dir.
@@ -300,10 +168,15 @@ func writeArtifact(dir, name string, t *report.Table, csv bool) error {
 		return err
 	}
 	defer f.Close()
+	return render(f, t, csv)
+}
+
+// render writes t as CSV or as an aligned table.
+func render(w io.Writer, t *report.Table, csv bool) error {
 	if csv {
-		return t.RenderCSV(f)
+		return t.RenderCSV(w)
 	}
-	return t.Render(f)
+	return t.Render(w)
 }
 
 // tableI renders Table I: memory bandwidth requirement for the stages of

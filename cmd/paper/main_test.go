@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cli"
 	"repro/internal/core"
 )
 
@@ -164,14 +165,9 @@ func TestObservabilityArtifacts(t *testing.T) {
 	dir := t.TempDir()
 	traceOut := filepath.Join(dir, "flagship.trace.json")
 	metricsOut := filepath.Join(dir, "flagship.metrics.csv")
-	outputs, err := writeObservability(0.002, 50_000, traceOut, metricsOut, nil)
-	if err != nil {
+	observed := &cli.Observed{Window: 50_000, TraceOut: traceOut, MetricsOut: metricsOut}
+	if err := flagship(observed, 0.002); err != nil {
 		t.Fatal(err)
-	}
-	for _, name := range []string{"trace", "metrics", "manifest"} {
-		if outputs[name] == "" {
-			t.Errorf("outputs missing %q: %v", name, outputs)
-		}
 	}
 
 	// Golden check: the trace validates against the Chrome trace-event
@@ -208,7 +204,7 @@ func TestObservabilityArtifacts(t *testing.T) {
 	if !strings.HasPrefix(string(csv), "channel,epoch,start_cycle") {
 		t.Error("metrics file lacks the CSV header")
 	}
-	manRaw, err := os.ReadFile(outputs["manifest"])
+	manRaw, err := os.ReadFile(metricsOut + ".manifest.json")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,13 +222,24 @@ func TestObservabilityArtifacts(t *testing.T) {
 	}
 }
 
+// TestObservabilityDisabled: with no observed-run flag set the flagship
+// run is skipped and prints nothing.
 func TestObservabilityDisabled(t *testing.T) {
-	outputs, err := writeObservability(0.002, 50_000, "", "", nil)
+	path := filepath.Join(t.TempDir(), "stdout")
+	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(outputs) != 0 {
-		t.Errorf("disabled observability produced outputs: %v", outputs)
+	old := os.Stdout
+	os.Stdout = f
+	err = flagship(&cli.Observed{Window: 50_000}, 0.002)
+	os.Stdout = old
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out, _ := os.ReadFile(path); len(out) != 0 {
+		t.Errorf("disabled observability printed %q", out)
 	}
 }
 

@@ -34,6 +34,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"os"
@@ -44,8 +45,11 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/server"
 )
+
+func init() { cli.Name = "simctl" }
 
 func main() {
 	if len(os.Args) < 2 {
@@ -81,23 +85,48 @@ run "simctl <subcommand> -h" for the subcommand's flags
 	os.Exit(2)
 }
 
+// conn holds the connection flags every subcommand takes.
+type conn struct {
+	server, clientID  string
+	timeout, deadline time.Duration
+}
+
+// connFlags registers -server, -timeout (defaulting to timeout) and
+// -deadline on fs.
+func connFlags(fs *flag.FlagSet, timeout time.Duration) *conn {
+	c := &conn{}
+	fs.StringVar(&c.server, "server", "http://127.0.0.1:8080", "simd or simrouter base URL")
+	fs.DurationVar(&c.timeout, "timeout", timeout, "client-side HTTP timeout (a request exceeding it fails)")
+	fs.DurationVar(&c.deadline, "deadline", 0, "server-side deadline to request (0 = server default)")
+	return c
+}
+
+// idFlag registers -client-id.
+func (c *conn) idFlag(fs *flag.FlagSet) {
+	fs.StringVar(&c.clientID, "client-id", "", "X-Client-ID to present (rate-limit identity)")
+}
+
 // client wraps the HTTP transport with the service conventions: JSON
 // bodies, the per-request deadline header, and a hard client-side
 // timeout so no call can hang past it.
 type client struct {
-	base     string
-	http     *http.Client
-	clientID string
-	deadline time.Duration
+	*conn
+	id   string
+	http *http.Client
 }
 
-func newClient(serverURL, clientID string, timeout, deadline time.Duration) *client {
-	return &client{
-		base:     strings.TrimRight(serverURL, "/"),
-		http:     &http.Client{Timeout: timeout},
-		clientID: clientID,
-		deadline: deadline,
-	}
+// client returns a client presenting id as its X-Client-ID.
+func (c *conn) client(id string) *client {
+	return &client{conn: c, id: id, http: &http.Client{Timeout: c.timeout}}
+}
+
+// modelFlags registers what a simulate, sweep or warm request carries
+// besides its points: -policy, -device, -fidelity and -fraction (0 = the
+// full frame). An empty name leaves the choice to the server.
+func modelFlags(fs *flag.FlagSet, fraction string) *cli.Model {
+	m := cli.ModelFlags(fs, fraction, true)
+	cli.FidelityFlag(fs, &m.Fidelity, "")
+	return m
 }
 
 // post sends one API call and returns the status, body and response
@@ -108,13 +137,13 @@ func (c *client) post(path string, body any) (status int, data []byte, hdr http.
 	if err != nil {
 		return 0, nil, nil, err
 	}
-	req, err := http.NewRequest(http.MethodPost, c.base+path, bytes.NewReader(payload))
+	req, err := http.NewRequest(http.MethodPost, strings.TrimRight(c.server, "/")+path, bytes.NewReader(payload))
 	if err != nil {
 		return 0, nil, nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	if c.clientID != "" {
-		req.Header.Set("X-Client-ID", c.clientID)
+	if c.id != "" {
+		req.Header.Set("X-Client-ID", c.id)
 	}
 	if c.deadline > 0 {
 		req.Header.Set("X-Sim-Deadline", c.deadline.String())
@@ -131,6 +160,23 @@ func (c *client) post(path string, body any) (status int, data []byte, hdr http.
 	return resp.StatusCode, data, resp.Header, nil
 }
 
+// call posts body to path and decodes the 200 answer into resp; a
+// transport error, any other status or an undecodable body is fatal. It
+// returns the raw body and the response header.
+func (c *client) call(path string, body, resp any) ([]byte, http.Header) {
+	status, data, hdr, err := c.post(path, body)
+	if err != nil {
+		cli.Fatal(err)
+	}
+	if status != http.StatusOK {
+		cli.Fatal(apiError(status, data))
+	}
+	if err := json.Unmarshal(data, resp); err != nil {
+		cli.Fatal(fmt.Errorf("decoding response: %w", err))
+	}
+	return data, hdr
+}
+
 // apiError renders a non-2xx answer for the terminal.
 func apiError(status int, data []byte) error {
 	var e server.ErrorResponse
@@ -142,38 +188,23 @@ func apiError(status int, data []byte) error {
 
 func runSimulate(args []string) {
 	fs := flag.NewFlagSet("simctl simulate", flag.ExitOnError)
-	var (
-		serverURL = fs.String("server", "http://127.0.0.1:8080", "simd base URL")
-		format    = fs.String("format", "1080p30", "frame format")
-		channels  = fs.Int("channels", 1, "channel count")
-		freq      = fs.Int("freq", 400, "clock frequency in MHz")
-		fraction  = fs.Float64("fraction", 0, "frame fraction to simulate (0 = full frame)")
-		timeout   = fs.Duration("timeout", 2*time.Minute, "client-side HTTP timeout")
-		deadline  = fs.Duration("deadline", 0, "server-side deadline to request (0 = server default)")
-		clientID  = fs.String("client-id", "", "X-Client-ID to present (rate-limit identity)")
-		asJSON    = fs.Bool("json", false, "print the raw JSON response instead of a CSV row")
-		fidelity  = fs.String("fidelity", "", "fidelity tier to request: exact, fast or auto (empty = server default)")
-		policy    = fs.String("policy", "", "controller scheduling policy (empty = server default, open-page)")
-		device    = fs.String("device", "", "DRAM datasheet to simulate (empty = paper device)")
-	)
+	cn := connFlags(fs, 2*time.Minute)
+	cn.idFlag(fs)
+	pt := cli.PointFlags(fs, "1080p30", "1")
+	m := modelFlags(fs, "0")
+	asJSON := fs.Bool("json", false, "print the raw JSON response instead of a CSV row")
 	fs.Parse(args)
+	if pt.FreqMHz != math.Trunc(pt.FreqMHz) {
+		cli.Usage(fs, "-freq %v: the service takes whole MHz", pt.FreqMHz)
+	}
 
-	c := newClient(*serverURL, *clientID, *timeout, *deadline)
-	req := server.SimulateRequest{Format: *format, Channels: *channels, FreqMHz: *freq, Fraction: *fraction, Fidelity: *fidelity, Policy: *policy, Device: *device}
-	status, data, hdr, err := c.post("/v1/simulate", &req)
-	if err != nil {
-		fatal(err)
-	}
-	if status != http.StatusOK {
-		fatal(apiError(status, data))
-	}
+	c := cn.client(cn.clientID)
+	req := server.SimulateRequest{Format: pt.Format, Channels: pt.Channels, FreqMHz: int(pt.FreqMHz), Fraction: m.Fraction, Fidelity: m.Fidelity, Policy: m.Policy, Device: m.Device}
+	var resp server.SimulateResponse
+	data, hdr := c.call("/v1/simulate", &req, &resp)
 	if *asJSON {
 		os.Stdout.Write(data)
 		return
-	}
-	var resp server.SimulateResponse
-	if err := json.Unmarshal(data, &resp); err != nil {
-		fatal(fmt.Errorf("decoding response: %w", err))
 	}
 	if resp.Degraded {
 		fmt.Fprintln(os.Stderr, "simctl: warning: degraded (analytic) answer — the service was saturated")
@@ -187,47 +218,16 @@ func runSimulate(args []string) {
 
 func runSweep(args []string) {
 	fs := flag.NewFlagSet("simctl sweep", flag.ExitOnError)
-	var (
-		serverURL = fs.String("server", "http://127.0.0.1:8080", "simd base URL")
-		formats   = fs.String("formats", "720p30,720p60,1080p30,1080p60,2160p30,2160p60", "comma-separated frame formats")
-		channels  = fs.String("channels", "1,2,4,8", "comma-separated channel counts")
-		freqs     = fs.String("freqs", "200,266,333,400,533", "comma-separated clock frequencies in MHz")
-		fraction  = fs.Float64("fraction", 0.1, "frame fraction to simulate")
-		timeout   = fs.Duration("timeout", 10*time.Minute, "client-side HTTP timeout")
-		deadline  = fs.Duration("deadline", 0, "server-side deadline to request (0 = server default)")
-		clientID  = fs.String("client-id", "", "X-Client-ID to present (rate-limit identity)")
-		fidelity  = fs.String("fidelity", "", "fidelity tier to request: exact, fast or auto (empty = server default)")
-		policy    = fs.String("policy", "", "controller scheduling policy (empty = server default, open-page)")
-		device    = fs.String("device", "", "DRAM datasheet to simulate (empty = paper device)")
-	)
+	cn := connFlags(fs, 10*time.Minute)
+	cn.idFlag(fs)
+	g := cli.GridFlags(fs)
+	m := modelFlags(fs, "0.1")
 	fs.Parse(args)
 
-	chList, err := parseInts(*channels)
-	if err != nil {
-		fatal(err)
-	}
-	freqList, err := parseInts(*freqs)
-	if err != nil {
-		fatal(err)
-	}
-	var formatList []string
-	for _, f := range strings.Split(*formats, ",") {
-		formatList = append(formatList, strings.TrimSpace(f))
-	}
-
-	c := newClient(*serverURL, *clientID, *timeout, *deadline)
-	req := server.SweepRequest{Formats: formatList, Channels: chList, FreqsMHz: freqList, Fraction: *fraction, Fidelity: *fidelity, Policy: *policy, Device: *device}
-	status, data, _, err := c.post("/v1/sweep", &req)
-	if err != nil {
-		fatal(err)
-	}
-	if status != http.StatusOK {
-		fatal(apiError(status, data))
-	}
+	c := cn.client(cn.clientID)
+	req := server.SweepRequest{Formats: g.Formats, Channels: g.Channels, FreqsMHz: g.FreqsMHz, Fraction: m.Fraction, Fidelity: m.Fidelity, Policy: m.Policy, Device: m.Device}
 	var resp server.SweepResponse
-	if err := json.Unmarshal(data, &resp); err != nil {
-		fatal(fmt.Errorf("decoding response: %w", err))
-	}
+	c.call("/v1/sweep", &req, &resp)
 	if resp.Degraded {
 		fmt.Fprintln(os.Stderr, "simctl: warning: degraded (analytic) answers — the service was saturated")
 	}
@@ -243,54 +243,28 @@ func runSweep(args []string) {
 // the simulations once and the response stays tiny.
 func runWarm(args []string) {
 	fs := flag.NewFlagSet("simctl warm", flag.ExitOnError)
-	var (
-		serverURL = fs.String("server", "http://127.0.0.1:8080", "simd or simrouter base URL")
-		formats   = fs.String("formats", "720p30,720p60,1080p30,1080p60,2160p30,2160p60", "comma-separated frame formats")
-		channels  = fs.String("channels", "1,2,4,8", "comma-separated channel counts")
-		freqs     = fs.String("freqs", "200,266,333,400,533", "comma-separated clock frequencies in MHz")
-		fraction  = fs.Float64("fraction", 0.1, "frame fraction to simulate")
-		timeout   = fs.Duration("timeout", 10*time.Minute, "client-side HTTP timeout")
-		deadline  = fs.Duration("deadline", 0, "server-side deadline to request (0 = server default)")
-		clientID  = fs.String("client-id", "", "X-Client-ID to present (rate-limit identity)")
-		fidelity  = fs.String("fidelity", "", "fidelity tier to request: exact, fast or auto (empty = server default)")
-		policy    = fs.String("policy", "", "controller scheduling policy (empty = server default, open-page)")
-		device    = fs.String("device", "", "DRAM datasheet to simulate (empty = paper device)")
-	)
+	cn := connFlags(fs, 10*time.Minute)
+	cn.idFlag(fs)
+	g := cli.GridFlags(fs)
+	m := modelFlags(fs, "0.1")
 	fs.Parse(args)
 
-	chList, err := parseInts(*channels)
-	if err != nil {
-		fatal(err)
-	}
-	freqList, err := parseInts(*freqs)
-	if err != nil {
-		fatal(err)
-	}
 	var points []server.SimulateRequest
-	for _, f := range strings.Split(*formats, ",") {
-		for _, ch := range chList {
-			for _, freq := range freqList {
+	for _, f := range g.Formats {
+		for _, ch := range g.Channels {
+			for _, freq := range g.FreqsMHz {
 				points = append(points, server.SimulateRequest{
-					Format: strings.TrimSpace(f), Channels: ch, FreqMHz: freq,
-					Fraction: *fraction, Policy: *policy, Device: *device,
+					Format: f, Channels: ch, FreqMHz: freq,
+					Fraction: m.Fraction, Policy: m.Policy, Device: m.Device,
 				})
 			}
 		}
 	}
 
-	c := newClient(*serverURL, *clientID, *timeout, *deadline)
-	req := server.BatchRequest{Points: points, Fidelity: *fidelity, Warm: true}
-	status, data, hdr, err := c.post("/v1/batch", &req)
-	if err != nil {
-		fatal(err)
-	}
-	if status != http.StatusOK {
-		fatal(apiError(status, data))
-	}
+	c := cn.client(cn.clientID)
+	req := server.BatchRequest{Points: points, Fidelity: m.Fidelity, Warm: true}
 	var resp server.BatchResponse
-	if err := json.Unmarshal(data, &resp); err != nil {
-		fatal(fmt.Errorf("decoding response: %w", err))
-	}
+	_, hdr := c.call("/v1/batch", &req, &resp)
 	outcomes := map[string]int{}
 	for _, o := range resp.Outcomes {
 		outcomes[o]++
@@ -329,18 +303,17 @@ func retryAfter(hdr http.Header) time.Duration {
 
 func runSoak(args []string) {
 	fs := flag.NewFlagSet("simctl soak", flag.ExitOnError)
+	cn := connFlags(fs, 2*time.Minute)
+	var fraction float64
+	cli.FractionFlag(fs, &fraction, "0.02", true)
 	var (
-		serverURL     = fs.String("server", "http://127.0.0.1:8080", "simd base URL")
 		clients       = fs.Int("clients", 8, "concurrent clients")
 		requests      = fs.Int("requests", 8, "requests per client")
-		fraction      = fs.Float64("fraction", 0.02, "frame fraction per point (small = fast)")
-		timeout       = fs.Duration("timeout", 2*time.Minute, "client-side HTTP timeout (a request exceeding it counts as failed)")
-		deadline      = fs.Duration("deadline", 0, "server-side deadline to request (0 = server default)")
 		allowShutdown = fs.Bool("allow-shutdown", false, "tolerate connections cut by a mid-soak daemon drain (counted, not failures)")
 	)
 	fs.Parse(args)
 	if *clients < 1 || *requests < 1 {
-		fatal(fmt.Errorf("-clients and -requests must be >= 1"))
+		cli.Usage(fs, "-clients and -requests must be >= 1")
 	}
 
 	var ok, degraded, shed, cut, failed atomic.Int64
@@ -355,13 +328,13 @@ func runSoak(args []string) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			c := newClient(*serverURL, "soak-"+strconv.Itoa(id), *timeout, *deadline)
+			c := cn.client("soak-" + strconv.Itoa(id))
 			for r := 0; r < *requests; r++ {
 				// Even requests hammer one hot point (cache hits and
 				// single-flight joins); odd ones walk distinct frequencies
 				// across the device's supported range (misses), so the soak
 				// exercises both paths at once.
-				req := server.SimulateRequest{Format: "720p30", Channels: 1, FreqMHz: 400, Fraction: *fraction}
+				req := server.SimulateRequest{Format: "720p30", Channels: 1, FreqMHz: 400, Fraction: fraction}
 				if r%2 == 1 {
 					req.FreqMHz = 200 + (id**requests+r)%334
 				}
@@ -429,21 +402,4 @@ func shardKey(hdr http.Header) string {
 		return s
 	}
 	return "-"
-}
-
-func parseInts(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil {
-			return nil, fmt.Errorf("bad list element %q: %v", part, err)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "simctl:", err)
-	os.Exit(1)
 }

@@ -24,62 +24,51 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/core"
-	"repro/internal/debugserver"
 	"repro/internal/metrics"
 	"repro/internal/server"
 )
 
+func init() { cli.Name = "simd" }
+
 func main() {
+	fs := flag.CommandLine
+	daemon := cli.DaemonFlags(fs, "127.0.0.1:8080")
 	var (
-		addr           = flag.String("addr", "127.0.0.1:8080", "host:port to serve the simulation API on (\":0\" picks a free port, announced on stderr)")
-		debugAddr      = flag.String("debug-addr", "", "serve /metrics, /metrics.json, expvar and pprof on this host:port (e.g. 127.0.0.1:0)")
+		cache          cli.Cache
+		fidelity       string
 		workers        = flag.Int("workers", 0, "concurrent simulations (0 = one per CPU)")
 		queueLimit     = flag.Int("queue-limit", 0, "admitted requests beyond the running ones before shedding (0 = 4x workers)")
 		rate           = flag.Float64("rate", 0, "per-client rate limit in requests/second (0 = unlimited; clients keyed by X-Client-ID, else remote host)")
 		burst          = flag.Int("burst", 0, "per-client burst size (0 = 2x rate, minimum 1)")
 		deadline       = flag.Duration("deadline", 60*time.Second, "default per-request deadline when the client sets none")
 		maxDeadline    = flag.Duration("max-deadline", 5*time.Minute, "cap on client-requested deadlines (X-Sim-Deadline header or ?deadline=)")
-		drain          = flag.Duration("drain", 10*time.Second, "graceful-drain deadline on SIGINT/SIGTERM: in-flight requests get this long before being canceled")
-		cacheDir       = flag.String("cache-dir", "", "persist simulated points to a content-addressed on-disk cache under this directory (versioned; survives restarts)")
 		degrade        = flag.Bool("degrade", false, "serve analytic estimates (flagged degraded) when the queue is saturated, instead of shedding with 429")
 		maxSweepPoints = flag.Int("max-sweep-points", 1024, "largest grid one sweep request may expand to")
-		fidelity       = flag.String("fidelity", "exact", "default fidelity tier for requests without a \"fidelity\" field: exact, fast, or auto (estimated answers carry \"estimated\":true)")
 		shardName      = flag.String("shard-name", "", "stamp responses with this fleet-member name (X-Sim-Shard header) when serving behind simrouter")
 	)
+	cache.DirFlag(fs)
+	cli.FidelityFlag(fs, &fidelity, "exact")
 	flag.Parse()
 
-	if err := debugserver.ValidateAddr(*addr); err != nil {
-		usageError("-addr %q: %v", *addr, err)
-	}
-	if *debugAddr != "" {
-		if err := debugserver.ValidateAddr(*debugAddr); err != nil {
-			usageError("-debug-addr %q: %v", *debugAddr, err)
-		}
-	}
 	if *workers < 0 || *queueLimit < 0 || *burst < 0 || *maxSweepPoints < 1 {
-		usageError("-workers, -queue-limit and -burst must be >= 0 and -max-sweep-points >= 1")
+		cli.Usage(fs, "-workers, -queue-limit and -burst must be >= 0 and -max-sweep-points >= 1")
 	}
 	if *rate < 0 {
-		usageError("-rate must be >= 0 (0 = unlimited), got %v", *rate)
+		cli.Usage(fs, "-rate must be >= 0 (0 = unlimited), got %v", *rate)
 	}
-	tier, err := core.ParseFidelity(*fidelity)
-	if err != nil {
-		usageError("-fidelity: %v", err)
+	if *deadline <= 0 || *maxDeadline <= 0 {
+		cli.Usage(fs, "-deadline and -max-deadline must be positive")
 	}
+	tier, _ := core.ParseFidelity(fidelity) // validated while parsing
 	if tier == core.FidelityAuto && core.EnabledEnvelope() == nil {
 		fmt.Fprintln(os.Stderr, "simd: warning: no calibration envelope available; auto fidelity will simulate every point")
-	}
-	if *deadline <= 0 || *maxDeadline <= 0 || *drain <= 0 {
-		usageError("-deadline, -max-deadline and -drain must be positive")
 	}
 
 	// The daemon always runs instrumented: unlike the batch CLIs there is
@@ -88,14 +77,6 @@ func main() {
 	reg := metrics.NewRegistry()
 	core.EnableMetrics(reg)
 	defer core.EnableMetrics(nil)
-
-	cache := core.NewSimCache()
-	if *cacheDir != "" {
-		var err error
-		if cache, err = core.NewDiskSimCache(*cacheDir); err != nil {
-			fatal(err)
-		}
-	}
 
 	srv := server.New(server.Config{
 		Workers:         *workers,
@@ -107,54 +88,16 @@ func main() {
 		RateBurst:       *burst,
 		Degrade:         *degrade,
 		Fidelity:        tier,
-		Cache:           cache,
+		Cache:           cache.Open(true),
 		Metrics:         reg,
 		ShardName:       *shardName,
 	})
-
-	var dbg *debugserver.Server
-	if *debugAddr != "" {
-		var err error
-		if dbg, err = debugserver.Start(*debugAddr, reg); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "simd: debug: listening on %s\n", dbg.Addr())
-	}
-	if err := srv.Start(*addr); err != nil {
-		fatal(err)
+	daemon.Debug(reg)
+	if err := srv.Start(daemon.Addr); err != nil {
+		cli.Fatal(err)
 	}
 	// The resolved address (":0" picks a port) goes to stderr so tooling —
 	// and the CI soak gate — can find the service.
 	fmt.Fprintf(os.Stderr, "simd: listening on %s\n", srv.Addr())
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	got := <-sig
-	fmt.Fprintf(os.Stderr, "simd: received %s, draining (deadline %s)\n", got, *drain)
-
-	ctx, cancel := context.WithTimeout(context.Background(), *drain)
-	defer cancel()
-	err = srv.Drain(ctx)
-	// The debug surface drains on the same deadline so an in-flight
-	// metrics scrape finishes; it has no long-running work of its own.
-	if derr := dbg.Shutdown(ctx); err == nil {
-		err = derr
-	}
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Fprintln(os.Stderr, "simd: drained cleanly")
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "simd:", err)
-	os.Exit(1)
-}
-
-// usageError reports a flag-validation failure and exits with the usage
-// status (2), matching the flag package's own error handling.
-func usageError(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "simd: %s\n", fmt.Sprintf(format, args...))
-	flag.Usage()
-	os.Exit(2)
+	daemon.Wait(srv.Drain)
 }

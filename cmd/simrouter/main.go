@@ -24,16 +24,13 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
-	"repro/internal/debugserver"
+	"repro/internal/cli"
 	"repro/internal/metrics"
 	"repro/internal/shard"
 )
@@ -61,38 +58,31 @@ func (f shardFlags) Set(v string) error {
 	return nil
 }
 
+func init() { cli.Name = "simrouter" }
+
 func main() {
+	fs := flag.CommandLine
 	shards := shardFlags{}
 	flag.Var(shards, "shard", "fleet member as name=url (repeatable; the name is the ring identity)")
+	daemon := cli.DaemonFlags(fs, "127.0.0.1:8090")
 	var (
-		addr           = flag.String("addr", "127.0.0.1:8090", "host:port to serve the routed API on (\":0\" picks a free port, announced on stderr)")
-		debugAddr      = flag.String("debug-addr", "", "serve /metrics, /metrics.json, expvar and pprof on this host:port")
 		vnodes         = flag.Int("vnodes", shard.DefaultVNodes, "virtual nodes per shard on the placement ring")
 		retries        = flag.Int("retries", 2, "ring successors to fail over to when a shard errors")
 		retryBackoff   = flag.Duration("retry-backoff", 25*time.Millisecond, "base jittered delay between failover attempts")
 		healthInterval = flag.Duration("health-interval", time.Second, "period of the background per-shard /healthz poll")
 		shardTimeout   = flag.Duration("shard-timeout", 10*time.Minute, "cap on one proxied shard request")
 		maxSweepPoints = flag.Int("max-sweep-points", 4096, "largest grid one routed sweep may expand to")
-		drain          = flag.Duration("drain", 10*time.Second, "graceful-drain deadline on SIGINT/SIGTERM")
 	)
 	flag.Parse()
 
-	if err := debugserver.ValidateAddr(*addr); err != nil {
-		usageError("-addr %q: %v", *addr, err)
-	}
-	if *debugAddr != "" {
-		if err := debugserver.ValidateAddr(*debugAddr); err != nil {
-			usageError("-debug-addr %q: %v", *debugAddr, err)
-		}
-	}
 	if len(shards) == 0 {
-		usageError("at least one -shard name=url is required")
+		cli.Usage(fs, "at least one -shard name=url is required")
 	}
 	if *vnodes < 1 || *retries < 0 || *maxSweepPoints < 1 {
-		usageError("-vnodes and -max-sweep-points must be >= 1, -retries >= 0")
+		cli.Usage(fs, "-vnodes and -max-sweep-points must be >= 1, -retries >= 0")
 	}
-	if *retryBackoff <= 0 || *healthInterval <= 0 || *shardTimeout <= 0 || *drain <= 0 {
-		usageError("-retry-backoff, -health-interval, -shard-timeout and -drain must be positive")
+	if *retryBackoff <= 0 || *healthInterval <= 0 || *shardTimeout <= 0 {
+		cli.Usage(fs, "-retry-backoff, -health-interval and -shard-timeout must be positive")
 	}
 
 	reg := metrics.NewRegistry()
@@ -107,47 +97,14 @@ func main() {
 		Metrics:        reg,
 	})
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
-
-	var dbg *debugserver.Server
-	if *debugAddr != "" {
-		if dbg, err = debugserver.Start(*debugAddr, reg); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "simrouter: debug: listening on %s\n", dbg.Addr())
-	}
-	if err := rt.Start(*addr); err != nil {
-		fatal(err)
+	daemon.Debug(reg)
+	if err := rt.Start(daemon.Addr); err != nil {
+		cli.Fatal(err)
 	}
 	// Same stderr announce contract as simd, so the CI gate and tooling
 	// can scrape the resolved port.
 	fmt.Fprintf(os.Stderr, "simrouter: listening on %s (%d shards)\n", rt.Addr(), len(shards))
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	got := <-sig
-	fmt.Fprintf(os.Stderr, "simrouter: received %s, draining (deadline %s)\n", got, *drain)
-
-	ctx, cancel := context.WithTimeout(context.Background(), *drain)
-	defer cancel()
-	err = rt.Drain(ctx)
-	if derr := dbg.Shutdown(ctx); err == nil {
-		err = derr
-	}
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Fprintln(os.Stderr, "simrouter: drained cleanly")
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "simrouter:", err)
-	os.Exit(1)
-}
-
-func usageError(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "simrouter: %s\n", fmt.Sprintf(format, args...))
-	flag.Usage()
-	os.Exit(2)
+	daemon.Wait(rt.Drain)
 }

@@ -1,44 +1,20 @@
 package main
 
 import (
-	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/cli/clitest"
 	"repro/internal/probe"
 )
 
-// TestMain doubles as a re-exec shim: with SWEEP_RUN_MAIN=1 the test
-// binary becomes the sweep command itself, so the tests below exercise the
-// real main() — flag parsing, validation exits, stdout/stderr split —
-// without a separate build step.
-func TestMain(m *testing.M) {
-	if os.Getenv("SWEEP_RUN_MAIN") == "1" {
-		main()
-		os.Exit(0)
-	}
-	os.Exit(m.Run())
-}
+func TestMain(m *testing.M) { clitest.Main(m, main) }
 
-// runSweep re-execs the test binary as the sweep command and returns its
-// separated streams and exit code.
-func runSweep(t *testing.T, args ...string) (stdout, stderr string, code int) {
-	t.Helper()
-	cmd := exec.Command(os.Args[0], args...)
-	cmd.Env = append(os.Environ(), "SWEEP_RUN_MAIN=1")
-	var out, errb strings.Builder
-	cmd.Stdout = &out
-	cmd.Stderr = &errb
-	err := cmd.Run()
-	if ee, ok := err.(*exec.ExitError); ok {
-		code = ee.ExitCode()
-	} else if err != nil {
-		t.Fatal(err)
-	}
-	return out.String(), errb.String(), code
-}
+// runSweep runs the sweep command in a child process, so the tests below
+// exercise the real main(): flag parsing, validation exits and the
+// stdout/stderr split.
+var runSweep = clitest.Run
 
 // TestStdoutByteIdentical pins the observability contract: a run with
 // -progress, -debug-addr and -summary-out produces byte-identical stdout
@@ -82,12 +58,12 @@ func TestStdoutByteIdentical(t *testing.T) {
 	}
 }
 
-// TestFlagValidationExits pins the usage-error contract: malformed
-// observability flags exit 2 (the flag package's usage status) with the
-// offending flag named on stderr, before any simulation starts.
+// TestFlagValidationExits pins the usage-error contract: malformed flags
+// exit 2 (the flag package's usage status) with the offending flag named
+// on stderr, before any simulation starts.
 func TestFlagValidationExits(t *testing.T) {
 	missing := filepath.Join(t.TempDir(), "no-such-dir", "summary.json")
-	cases := []struct {
+	for _, tc := range []struct {
 		name string
 		args []string
 		want string
@@ -97,19 +73,16 @@ func TestFlagValidationExits(t *testing.T) {
 		{"summary-out unwritable", []string{"-summary-out", missing}, "-summary-out"},
 		{"progress vs serial", []string{"-progress", "-serial"}, "-progress conflicts with -serial"},
 		{"negative jobs", []string{"-jobs", "-1"}, "-jobs"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			stdout, stderr, code := runSweep(t, tc.args...)
-			if code != 2 {
-				t.Fatalf("exit = %d, want 2 (stderr: %s)", code, stderr)
-			}
-			if !strings.Contains(stderr, tc.want) {
-				t.Errorf("stderr missing %q:\n%s", tc.want, stderr)
-			}
-			if stdout != "" {
-				t.Errorf("usage error wrote to stdout: %q", stdout)
-			}
-		})
+		{"unknown policy", []string{"-policy", "bogus"}, "-policy"},
+		{"unknown device", []string{"-device", "bogus"}, "-device"},
+		{"unknown fidelity", []string{"-fidelity", "bogus"}, "-fidelity"},
+		{"fraction above 1", []string{"-fraction", "2"}, "-fraction"},
+		{"fraction zero", []string{"-fraction", "0"}, "-fraction"},
+		{"unknown format", []string{"-formats", "720p30,bogus"}, "-formats"},
+		{"bad channel list", []string{"-channels", "1,x"}, "-channels"},
+		{"no-cache vs cache-dir", []string{"-cache-dir", t.TempDir(), "-no-cache"}, "-no-cache conflicts with -cache-dir"},
+		{"cache-dir vs no-cache", []string{"-no-cache", "-cache-dir", t.TempDir()}, "-no-cache conflicts with -cache-dir"},
+	} {
+		t.Run(tc.name, func(t *testing.T) { clitest.UsageExit(t, tc.want, tc.args...) })
 	}
 }

@@ -23,109 +23,75 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime/pprof"
-	"strconv"
-	"strings"
 	"syscall"
-	"time"
 
 	"repro/internal/analytic"
 	"repro/internal/check"
+	"repro/internal/cli"
 	"repro/internal/controller"
 	"repro/internal/core"
-	"repro/internal/debugserver"
-	"repro/internal/dram"
-	"repro/internal/metrics"
 	"repro/internal/probe"
 	"repro/internal/units"
 )
 
+func init() { cli.Name = "sweep" }
+
 func main() {
+	fs := flag.CommandLine
+	grid := cli.GridFlags(fs)
+	model := cli.ModelFlags(fs, "0.1", false)
+	cli.FidelityFlag(fs, &model.Fidelity, "exact")
 	var (
-		formats    = flag.String("formats", "720p30,720p60,1080p30,1080p60,2160p30,2160p60", "comma-separated frame formats")
-		channels   = flag.String("channels", "1,2,4,8", "comma-separated channel counts")
-		freqs      = flag.String("freqs", "200,266,333,400,533", "comma-separated clock frequencies in MHz")
-		fraction   = flag.Float64("fraction", 0.1, "frame fraction to simulate")
-		policyName = flag.String("policy", "", "controller scheduling policy: "+strings.Join(controller.PolicyNames(), ", ")+" (empty = open-page)")
-		deviceName = flag.String("device", "", "DRAM datasheet: "+strings.Join(dram.DeviceNames(), ", ")+" (empty = paper)")
-		jobs       = flag.Int("jobs", 0, "concurrent sweep points (0 = one per CPU, 1 = serial)")
-		serial     = flag.Bool("serial", false, "run the sweep serially (same output; shorthand for -jobs 1)")
-		checkRun   = flag.Bool("check", false, "verify every point's DRAM commands against the device timing constraints (slower; violations are fatal)")
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		cacheDir   = flag.String("cache-dir", "", "persist simulated points to a content-addressed on-disk cache under this directory (versioned; later sweeps reuse them)")
-		noCache    = flag.Bool("no-cache", false, "simulate every point (disables the result cache; output is byte-identical either way)")
-		debugAddr  = flag.String("debug-addr", "", "serve /metrics, /metrics.json, expvar and pprof on this host:port for the run's duration (e.g. 127.0.0.1:0)")
-		summaryOut = flag.String("summary-out", "", "write a schema-versioned end-of-run summary JSON (manifest + metrics snapshot) to this file")
-		progress   = flag.Bool("progress", false, "print periodic progress lines (points done, cache-hit rate, ETA) to stderr; stdout is unchanged")
-		fidelity   = flag.String("fidelity", "exact", "exact = cycle-accurate simulation; fast = closed-form analytic estimate for every point (no verdict guarantee); auto = analytic where the calibration envelope proves the verdict, cycle-accurate fallback elsewhere (verdict-identical to exact)")
-		calibrate  = flag.Bool("calibrate", false, "run analytic-vs-exact calibration over the grid and write the error-envelope JSON to stdout instead of sweeping")
-		envelope   = flag.String("envelope", "", "calibration envelope JSON for -fidelity auto (default: the envelope embedded at build time)")
+		jobs      int
+		observed  cli.Observed
+		cache     cli.Cache
+		serial    = flag.Bool("serial", false, "run the sweep serially (same output; shorthand for -jobs 1)")
+		calibrate = flag.Bool("calibrate", false, "run analytic-vs-exact calibration over the grid and write the error-envelope JSON to stdout instead of sweeping")
+		envelope  = flag.String("envelope", "", "calibration envelope JSON for -fidelity auto (default: the envelope embedded at build time)")
 	)
+	cli.JobsFlag(fs, &jobs)
+	observed.CheckFlag(fs)
+	prof := cli.ProfileFlags(fs)
+	cache.DirFlag(fs)
+	cache.OffFlag(fs)
+	run := cli.RunFlags(fs)
+	run.ProgressFlag(fs)
 	flag.Parse()
 
-	if *jobs < 0 {
-		usageError("-jobs must be >= 0 (0 = one per CPU), got %d", *jobs)
-	}
-	if *serial && *jobs > 1 {
-		usageError("-serial conflicts with -jobs %d: a serial sweep runs one point at a time", *jobs)
-	}
-	if !(*fraction > 0) || *fraction > 1 {
-		usageError("-fraction must be in (0,1], got %v", *fraction)
-	}
-	if *noCache && *cacheDir != "" {
-		usageError("-no-cache conflicts with -cache-dir %q: the on-disk cache cannot be both used and disabled", *cacheDir)
-	}
-	if *debugAddr != "" {
-		if err := debugserver.ValidateAddr(*debugAddr); err != nil {
-			usageError("-debug-addr %q: %v", *debugAddr, err)
-		}
-	}
-	if err := probe.CheckWritable(*summaryOut); err != nil {
-		usageError("-summary-out not writable: %v", err)
-	}
-	if *progress && *serial {
-		usageError("-progress conflicts with -serial: the serial path is the profiling/CI determinism mode and stays free of background reporting")
-	}
-	tier, err := core.ParseFidelity(*fidelity)
-	if err != nil {
-		usageError("-fidelity: %v", err)
-	}
-	policy, err := controller.ParsePolicy(*policyName)
-	if err != nil {
-		usageError("-policy: %v", err)
-	}
-	if _, err := dram.Device(*deviceName); err != nil {
-		usageError("-device: %v", err)
-	}
-	if tier != core.FidelityExact && *checkRun {
-		usageError("-check conflicts with -fidelity %s: the protocol checker needs the cycle-accurate command stream", tier)
+	tier, policy := model.Tier(), model.PagePolicy()
+	switch {
+	case *serial && jobs > 1:
+		cli.Usage(fs, "-serial conflicts with -jobs %d: a serial sweep runs one point at a time", jobs)
+	case run.Progress && *serial:
+		cli.Usage(fs, "-progress conflicts with -serial: the serial path is the profiling/CI determinism mode and stays free of background reporting")
+	case tier != core.FidelityExact && observed.Check:
+		cli.Usage(fs, "-check conflicts with -fidelity %s: the protocol checker needs the cycle-accurate command stream", tier)
 	}
 	if *calibrate {
 		switch {
 		case tier != core.FidelityExact:
-			usageError("-calibrate conflicts with -fidelity %s: calibration measures the analytic model against exact simulation", tier)
-		case *checkRun:
-			usageError("-calibrate conflicts with -check")
+			cli.Usage(fs, "-calibrate conflicts with -fidelity %s: calibration measures the analytic model against exact simulation", tier)
+		case observed.Check:
+			cli.Usage(fs, "-calibrate conflicts with -check")
 		case *envelope != "":
-			usageError("-calibrate conflicts with -envelope: calibration produces an envelope, it does not consume one")
-		case *summaryOut != "":
-			usageError("-calibrate conflicts with -summary-out: stdout carries the envelope JSON, not sweep rows")
-		case policy != controller.OpenPage || *deviceName != "":
-			usageError("-calibrate conflicts with -policy/-device: calibration measures the paper baseline the auto tier serves")
+			cli.Usage(fs, "-calibrate conflicts with -envelope: calibration produces an envelope, it does not consume one")
+		case run.SummaryOut != "":
+			cli.Usage(fs, "-calibrate conflicts with -summary-out: stdout carries the envelope JSON, not sweep rows")
+		case policy != controller.OpenPage || model.Device != "":
+			cli.Usage(fs, "-calibrate conflicts with -policy/-device: calibration measures the paper baseline the auto tier serves")
 		}
 	}
 	if *envelope != "" && tier != core.FidelityAuto {
-		usageError("-envelope only applies to -fidelity auto (got %s)", tier)
+		cli.Usage(fs, "-envelope only applies to -fidelity auto (got %s)", tier)
 	}
 	if *envelope != "" {
 		data, err := os.ReadFile(*envelope)
 		if err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 		env, err := analytic.DecodeEnvelope(data)
 		if err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 		core.EnableEnvelope(env)
 		defer core.EnableEnvelope(nil)
@@ -134,146 +100,76 @@ func main() {
 		fmt.Fprintln(os.Stderr, "sweep: warning: no calibration envelope available; -fidelity auto will simulate every point")
 	}
 
-	// The metrics registry exists only when some surface consumes it; with
-	// every flag off the instrumented layers keep their nil-check fast
-	// paths and the run is byte-identical to an uninstrumented one.
-	var reg *metrics.Registry
-	if *debugAddr != "" || *summaryOut != "" || *progress {
-		reg = metrics.NewRegistry()
-		core.EnableMetrics(reg)
-		defer core.EnableMetrics(nil)
-	}
-	if *debugAddr != "" {
-		srv, err := debugserver.Start(*debugAddr, reg)
-		if err != nil {
-			fatal(err)
-		}
-		// Graceful shutdown at exit: an in-flight scrape of the final
-		// metrics finishes instead of being cut off mid-body.
-		defer func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			defer cancel()
-			srv.Shutdown(ctx)
-		}()
-		// The resolved address (":0" picks a port) goes to stderr so live
-		// tooling — and the CI smoke test — can find the endpoints.
-		fmt.Fprintf(os.Stderr, "sweep: debug: listening on %s\n", srv.Addr())
-	}
-	start := time.Now()
-
+	defer run.Start()()
 	// SIGINT/SIGTERM cancels the sweep between points: workers stop
 	// claiming new indices, the run exits promptly with a clear message,
 	// and the deferred cleanups (profiles, debug server) still run.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
-
 	// Content-addressed result cache: in-process dedup always (duplicate
 	// grid points simulate once), plus the optional on-disk store that
 	// persists points across invocations. Checked points bypass it
-	// automatically, and the stderr summary keeps stdout byte-identical.
-	var cache *core.SimCache
-	if !*noCache {
-		var err error
-		if *cacheDir != "" {
-			if cache, err = core.NewDiskSimCache(*cacheDir); err != nil {
-				fatal(err)
-			}
-		} else {
-			cache = core.NewSimCache()
-		}
-		core.EnableCache(cache)
-		defer core.DisableCache()
-	}
-
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
-		}
-		defer pprof.StopCPUProfile()
-	}
-
-	chList, err := parseInts(*channels)
-	if err != nil {
-		fatal(err)
-	}
-	freqList, err := parseInts(*freqs)
-	if err != nil {
-		fatal(err)
-	}
-	formatList := strings.Split(*formats, ",")
-	workloads := make([]core.Workload, len(formatList))
-	for i, format := range formatList {
-		w, err := core.WorkloadFor(strings.TrimSpace(format))
-		if err != nil {
-			fatal(err)
-		}
-		w.SampleFraction = *fraction
-		workloads[i] = w
-	}
+	// automatically.
+	defer cache.Enable(true)()
+	defer prof.Start()()
 
 	type point struct {
 		w  core.Workload
 		ch int
 		f  int
 	}
-	var grid []point
-	for _, w := range workloads {
-		for _, ch := range chList {
-			for _, f := range freqList {
-				grid = append(grid, point{w, ch, f})
+	var points []point
+	for _, format := range grid.Formats {
+		w, err := core.WorkloadFor(format)
+		if err != nil {
+			cli.Fatal(err)
+		}
+		w.SampleFraction = model.Fraction
+		for _, ch := range grid.Channels {
+			for _, f := range grid.FreqsMHz {
+				points = append(points, point{w, ch, f})
 			}
 		}
 	}
-	njobs := *jobs
+	njobs := jobs
 	if njobs == 0 {
 		njobs = core.DefaultJobs()
 	}
 	if *serial {
 		njobs = 1
 	}
-	var prog *core.Progress
-	if *progress {
-		prog = core.StartProgress(os.Stderr, time.Second)
-	}
+	prog := run.StartProgress()
 	if *calibrate {
 		env, err := core.Calibrate(ctx, core.CalibrateOptions{
-			Formats:        trimmed(formatList),
-			Channels:       chList,
-			FreqsMHz:       freqList,
-			SampleFraction: *fraction,
+			Formats:        grid.Formats,
+			Channels:       grid.Channels,
+			FreqsMHz:       grid.FreqsMHz,
+			SampleFraction: model.Fraction,
 			Jobs:           njobs,
 		})
 		prog.Stop()
 		if err != nil {
 			if errors.Is(err, context.Canceled) {
-				fatal(fmt.Errorf("interrupted before completion; no envelope written"))
+				cli.Fatal(fmt.Errorf("interrupted before completion; no envelope written"))
 			}
-			fatal(err)
+			cli.Fatal(err)
 		}
 		buf, err := env.Encode()
 		if err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 		os.Stdout.Write(buf)
 		fmt.Fprintf(os.Stderr, "sweep: calibrate: %d points, worst |err| %.4f%% of access time, fraction %v\n",
-			env.Points, env.WorstAbsErr*100, *fraction)
-		if cache != nil {
-			fmt.Fprintln(os.Stderr, "sweep: cache:", cache.Stats())
-		}
+			env.Points, env.WorstAbsErr*100, model.Fraction)
 		return
 	}
-	results, err := core.RunIndexedContext(ctx, njobs, len(grid), func(i int) (core.Result, error) {
-		p := grid[i]
+	results, err := core.RunIndexedContext(ctx, njobs, len(points), func(i int) (core.Result, error) {
+		p := points[i]
 		mc := core.PaperMemory(p.ch, units.Frequency(p.f)*units.MHz)
 		mc.Policy = policy
-		mc.Device = *deviceName
+		mc.Device = model.Device
 		var set *check.Set
-		if *checkRun {
+		if observed.Check {
 			var err error
 			if set, err = core.AttachChecker(&mc); err != nil {
 				return core.Result{}, err
@@ -284,12 +180,8 @@ func main() {
 			return core.Result{}, err
 		}
 		if set != nil {
-			if err := set.Err(); err != nil {
-				for _, v := range set.Violations() {
-					fmt.Fprintf(os.Stderr, "sweep: check: %s/%dch/%dMHz: %s\n",
-						res.Format.Name, p.ch, p.f, v)
-				}
-				return core.Result{}, fmt.Errorf("%s/%dch/%dMHz: %w", res.Format.Name, p.ch, p.f, err)
+			if err := cli.Violations(set, fmt.Sprintf("%s/%dch/%dMHz", res.Format.Name, p.ch, p.f)); err != nil {
+				return core.Result{}, err
 			}
 		}
 		return res, nil
@@ -297,18 +189,19 @@ func main() {
 	prog.Stop()
 	if err != nil {
 		if errors.Is(err, context.Canceled) {
-			fatal(fmt.Errorf("interrupted before completion; no output written"))
+			cli.Fatal(fmt.Errorf("interrupted before completion; no output written"))
 		}
-		fatal(err)
+		cli.Fatal(err)
 	}
-	if *checkRun {
-		fmt.Fprintf(os.Stderr, "sweep: check: all %d points verified against the device timing constraints\n", len(grid))
+	if observed.Check {
+		fmt.Fprintf(os.Stderr, "sweep: check: all %d points verified against the device timing constraints\n", len(points))
 	}
 
 	fmt.Println("format,channels,freq_mhz,frame_bytes,required_gbps,access_ms,budget_ms,verdict,efficiency,power_mw,interface_mw,estimated")
+	var totalCycles int64
 	for i, res := range results {
 		fmt.Printf("%s,%d,%d,%d,%.3f,%.3f,%.3f,%s,%.3f,%.1f,%.2f,%t\n",
-			res.Format.Name, grid[i].ch, grid[i].f,
+			res.Format.Name, points[i].ch, points[i].f,
 			res.FrameBytes,
 			res.RequiredBandwidth.GBps(),
 			res.AccessTime.Milliseconds(),
@@ -318,71 +211,14 @@ func main() {
 			res.TotalPower.Milliwatts(),
 			res.InterfacePower.Milliwatts(),
 			res.Estimated)
+		totalCycles += res.SimulatedCycles
 	}
-
-	if *memprofile != "" {
-		f, err := os.Create(*memprofile)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fatal(err)
-		}
+	man := probe.NewManifest(cli.Name)
+	man.SampleFraction = model.Fraction
+	man.Config = map[string]any{
+		"formats": grid.Formats, "channels": grid.Channels, "freqs": grid.FreqsMHz,
+		"policy": policy.String(), "device": model.Device,
+		"points": len(points), "jobs": njobs,
 	}
-	if cache != nil {
-		fmt.Fprintln(os.Stderr, "sweep: cache:", cache.Stats())
-	}
-	if *summaryOut != "" {
-		var totalCycles int64
-		for _, res := range results {
-			totalCycles += res.SimulatedCycles
-		}
-		man := probe.NewManifest("sweep")
-		man.SampleFraction = *fraction
-		man.Config = map[string]any{
-			"formats": *formats, "channels": *channels, "freqs": *freqs,
-			"policy": policy.String(), "device": *deviceName,
-			"points": len(grid), "jobs": njobs,
-		}
-		man.Finish(totalCycles, time.Since(start))
-		man.AddOutput("summary", *summaryOut)
-		if err := probe.NewSummary(man, reg.Snapshot()).Write(*summaryOut); err != nil {
-			fatal(fmt.Errorf("writing summary: %w", err))
-		}
-		fmt.Fprintf(os.Stderr, "sweep: summary: wrote %s\n", *summaryOut)
-	}
-}
-
-func trimmed(parts []string) []string {
-	out := make([]string, len(parts))
-	for i, p := range parts {
-		out[i] = strings.TrimSpace(p)
-	}
-	return out
-}
-
-func parseInts(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil {
-			return nil, fmt.Errorf("bad list element %q: %v", part, err)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "sweep:", err)
-	os.Exit(1)
-}
-
-// usageError reports a flag-validation failure and exits with the usage
-// status (2), matching the flag package's own error handling.
-func usageError(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "sweep: %s\n", fmt.Sprintf(format, args...))
-	flag.Usage()
-	os.Exit(2)
+	run.WriteSummary(man, totalCycles)
 }

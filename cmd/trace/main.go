@@ -14,11 +14,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
-	"repro/internal/check"
-	"repro/internal/controller"
+	"repro/internal/cli"
+	"repro/internal/core"
 	"repro/internal/dram"
 	"repro/internal/load"
 	"repro/internal/memsys"
@@ -29,66 +28,41 @@ import (
 	"repro/internal/video"
 )
 
+func init() { cli.Name = "trace" }
+
 func main() {
+	fs := flag.CommandLine
 	var (
-		dump     = flag.Bool("dump", false, "emit the load model's transaction trace to stdout")
-		binary   = flag.Bool("binary", false, "use the compact binary format for -dump")
-		run      = flag.String("run", "", "replay the given trace file through a memory configuration")
-		summary  = flag.String("summary", "", "summarize the given trace file")
-		format   = flag.String("format", "720p30", "frame format for -dump")
-		channels = flag.Int("channels", 2, "channel count")
-		freqMHz  = flag.Float64("freq", 400, "clock in MHz")
-		fraction = flag.Float64("fraction", 0.001, "frame fraction for -dump")
-
-		probeWindow = flag.Int64("probe-window", 100000, "time-series epoch length in DRAM cycles (for -metrics-out)")
-		traceOut    = flag.String("trace-out", "", "with -run: write a Chrome/Perfetto trace-event JSON of the replay")
-		metricsOut  = flag.String("metrics-out", "", "with -run: write windowed time-series metrics (.json = JSON, else CSV)")
-		checkRun    = flag.Bool("check", false, "with -run: verify every DRAM command against the device timing constraints (violations are fatal)")
-		policyName  = flag.String("policy", "", "with -run: controller scheduling policy, one of "+strings.Join(controller.PolicyNames(), ", ")+" (empty = open-page)")
-		deviceName  = flag.String("device", "", "with -run: DRAM datasheet, one of "+strings.Join(dram.DeviceNames(), ", ")+" (empty = paper)")
+		dump    = flag.Bool("dump", false, "emit the load model's transaction trace to stdout")
+		binary  = flag.Bool("binary", false, "use the compact binary format for -dump")
+		run     = flag.String("run", "", "replay the given trace file through a memory configuration (-channels, -freq, -policy, -device and the observed-run flags apply)")
+		summary = flag.String("summary", "", "summarize the given trace file")
 	)
+	pt := cli.PointFlags(fs, "720p30", "2")
+	model := cli.ModelFlags(fs, "0.001", false)
+	observed := cli.ObservedFlags(fs)
 	flag.Parse()
-
-	policy, err := controller.ParsePolicy(*policyName)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "trace: -policy: %v\n", err)
-		flag.Usage()
-		os.Exit(2)
-	}
-	if _, err := dram.Device(*deviceName); err != nil {
-		fmt.Fprintf(os.Stderr, "trace: -device: %v\n", err)
-		flag.Usage()
-		os.Exit(2)
-	}
-
-	if *probeWindow <= 0 {
-		fmt.Fprintf(os.Stderr, "trace: -probe-window must be positive, got %d\n", *probeWindow)
-		flag.Usage()
-		os.Exit(2)
-	}
 
 	switch {
 	case *dump:
-		if err := dumpTrace(*format, *channels, *fraction, *binary); err != nil {
-			fatal(err)
+		if err := dumpTrace(pt.Format, pt.Channels, model.Fraction, *binary); err != nil {
+			cli.Fatal(err)
 		}
 	case *summary != "":
 		if err := summarize(*summary); err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 	case *run != "":
-		if err := replay(*run, *channels, *freqMHz, *probeWindow, *traceOut, *metricsOut, *checkRun, policy, *deviceName); err != nil {
-			fatal(err)
+		mc := core.PaperMemory(pt.Channels, units.Frequency(pt.FreqMHz)*units.MHz)
+		mc.Policy = model.PagePolicy()
+		mc.Device = model.Device
+		if err := replay(*run, mc, observed); err != nil {
+			cli.Fatal(err)
 		}
 	default:
 		flag.Usage()
 		os.Exit(2)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "trace:", err)
-	os.Exit(1)
 }
 
 func dumpTrace(format string, channels int, fraction float64, binary bool) error {
@@ -129,83 +103,39 @@ func summarize(path string) error {
 	return nil
 }
 
-func replay(path string, channels int, freqMHz float64, probeWindow int64, traceOut, metricsOut string, checkRun bool, policy controller.PagePolicy, deviceName string) error {
+// replay runs the trace file at path through mc, observed as the
+// observed-run flags ask.
+func replay(path string, mc core.MemoryConfig, observed *cli.Observed) error {
 	reqs, err := loadTrace(path)
 	if err != nil {
 		return err
 	}
-	obs, err := probe.NewObserver(channels, probeWindow, traceOut, metricsOut)
-	if err != nil {
-		return err
-	}
-	cfg := memsys.PaperConfig(channels, units.Frequency(freqMHz)*units.MHz)
-	cfg.Policy = policy
-	if dev, err := dram.Device(deviceName); err == nil && dev.Name != dram.PaperDevice {
-		cfg.Geometry = dev.Geometry
-		cfg.Timing = dev.Timing
-	}
-	if obs.Enabled() {
-		cfg.NewProbe = obs.Channel
-	}
-	var set *check.Set
-	if checkRun {
-		speed, err := dram.Resolve(cfg.Geometry, cfg.Timing, cfg.Freq)
-		if err != nil {
-			return err
-		}
-		set = check.New(check.Options{
-			Speed:           speed,
-			Policy:          cfg.Policy,
-			RefreshPostpone: cfg.RefreshPostpone,
-		})
-		prev := cfg.NewProbe
-		cfg.NewProbe = func(ch int) probe.Sink {
-			if prev == nil {
-				return set.Channel(ch)
-			}
-			return probe.Multi(prev(ch), set.Channel(ch))
-		}
-	}
-	sys, err := memsys.New(cfg)
-	if err != nil {
+	if err := observed.Attach(&mc); err != nil {
 		return err
 	}
 	start := time.Now()
-	res, err := sys.Run(memsys.NewSliceSource(reqs))
+	res, err := core.Replay(reqs, mc)
 	if err != nil {
 		return err
 	}
-	if set != nil {
-		if err := set.Err(); err != nil {
-			for _, v := range set.Violations() {
-				fmt.Fprintln(os.Stderr, "trace: check:", v)
-			}
-			return err
-		}
-		fmt.Println("check:       every DRAM command satisfied the device timing constraints")
+	if err := observed.Verify("check:       every DRAM command satisfied the device timing constraints"); err != nil {
+		return err
 	}
+	freqMHz := float64(mc.Freq) / float64(units.MHz)
 	fmt.Printf("replayed %d transactions (%d bursts) on %d ch @ %g MHz\n",
-		res.Transactions, res.Bursts, channels, freqMHz)
+		res.Transactions, res.Bursts, mc.Channels, freqMHz)
 	fmt.Printf("makespan:    %v (%d cycles)\n", res.Time, res.Cycles)
 	fmt.Printf("bandwidth:   %.3f GB/s payload (%.1f%% bus utilization)\n",
 		res.Bandwidth().GBps(), res.BusUtilization()*100)
 	fmt.Printf("activity:    %s\n", res.Totals())
-	if obs.Enabled() {
-		man := probe.NewManifest("trace")
-		man.Channels = channels
-		man.FreqMHz = freqMHz
-		man.SampleFraction = 1
-		man.Config = map[string]any{"probe_window": probeWindow}
-		man.Workload = map[string]any{
-			"trace_file": path, "transactions": res.Transactions, "bursts": res.Bursts,
-		}
-		man.Finish(res.Cycles, time.Since(start))
-		if err := obs.WriteOutputs(&man); err != nil {
-			return err
-		}
-		fmt.Printf("observability: wrote %v\n", man.Outputs)
+	man := probe.NewManifest(cli.Name)
+	man.Channels = mc.Channels
+	man.FreqMHz = freqMHz
+	man.SampleFraction = 1
+	man.Workload = map[string]any{
+		"trace_file": path, "transactions": res.Transactions, "bursts": res.Bursts,
 	}
-	return nil
+	return observed.Write(man, res.Cycles, time.Since(start))
 }
 
 // loadTrace reads a trace file in either format (binary detected by magic).

@@ -4,9 +4,14 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
-	"repro/internal/controller"
 	"strings"
 	"testing"
+
+	"repro/internal/cli"
+	"repro/internal/cli/clitest"
+	"repro/internal/controller"
+	"repro/internal/core"
+	"repro/internal/units"
 )
 
 func TestDumpSummaryReplayRoundTrip(t *testing.T) {
@@ -30,14 +35,14 @@ func TestDumpSummaryReplayRoundTrip(t *testing.T) {
 	if err := summarize(path); err != nil {
 		t.Fatal(err)
 	}
-	if err := replay(path, 2, 400, 100000, "", "", true, controller.OpenPage, ""); err != nil {
+	if err := replay(path, core.PaperMemory(2, 400*units.MHz), &cli.Observed{Window: 100000, Check: true}); err != nil {
 		t.Fatal(err)
 	}
 	// Error paths.
 	if err := summarize(filepath.Join(dir, "missing")); err == nil {
 		t.Error("expected error for missing file")
 	}
-	if err := replay(path, 0, 400, 100000, "", "", false, controller.OpenPage, ""); err == nil {
+	if err := replay(path, core.PaperMemory(0, 400*units.MHz), &cli.Observed{Window: 100000}); err == nil {
 		t.Error("expected error for zero channels")
 	}
 	if err := dumpTrace("nope", 2, 0.001, false); err == nil {
@@ -69,11 +74,16 @@ func TestDumpSummaryReplayRoundTrip(t *testing.T) {
 		t.Errorf("binary trace has %d requests, text %d", len(binReqs), len(txtReqs))
 	}
 
-	// Replay with observability outputs writes a Chrome trace, a metrics
-	// file and a manifest next to them.
+	// A checked, observed replay on a reordering policy and a modern
+	// datasheet writes a Chrome trace, a metrics file and a manifest next
+	// to them, and passes the checker only if the checker resolved the
+	// device's own timing rather than the paper's.
 	traceOut := filepath.Join(dir, "replay.trace.json")
 	metricsOut := filepath.Join(dir, "replay.metrics.csv")
-	if err := replay(path, 2, 400, 10000, traceOut, metricsOut, false, controller.FRFCFS, "lpddr4"); err != nil {
+	mc := core.PaperMemory(2, 400*units.MHz)
+	mc.Policy, mc.Device = controller.FRFCFS, "lpddr4"
+	observed := &cli.Observed{Window: 10000, TraceOut: traceOut, MetricsOut: metricsOut, Check: true}
+	if err := replay(path, mc, observed); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(traceOut)
@@ -98,5 +108,27 @@ func TestDumpSummaryReplayRoundTrip(t *testing.T) {
 	}
 	if _, err := os.Stat(metricsOut + ".manifest.json"); err != nil {
 		t.Errorf("replay manifest missing: %v", err)
+	}
+}
+
+func TestMain(m *testing.M) { clitest.Main(m, main) }
+
+// TestFlagValidationExits: malformed flags exit 2 with the offending flag
+// named on stderr, before any trace is read or written.
+func TestFlagValidationExits(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"unknown policy", []string{"-run", "x.trace", "-policy", "bogus"}, "-policy"},
+		{"unknown device", []string{"-run", "x.trace", "-device", "bogus"}, "-device"},
+		{"fraction above 1", []string{"-dump", "-fraction", "5"}, "-fraction"},
+		{"fraction zero", []string{"-dump", "-fraction", "0"}, "-fraction"},
+		{"unknown format", []string{"-dump", "-format", "bogus"}, "-format"},
+		{"probe-window zero", []string{"-run", "x.trace", "-probe-window", "0"}, "-probe-window"},
+		{"no mode", nil, "Usage"},
+	} {
+		t.Run(tc.name, func(t *testing.T) { clitest.UsageExit(t, tc.want, tc.args...) })
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"repro/internal/check"
 	"repro/internal/dram"
+	"repro/internal/memsys"
 	"repro/internal/probe"
 )
 
@@ -11,7 +12,7 @@ import (
 // after any sink already installed. The checker verifies every DRAM
 // command the simulated controllers emit against the device's timing
 // constraints; inspect the returned Set after the run (Err is non-nil on
-// any violation). The -check flag of the CLI tools goes through here.
+// any violation). The -check flag of every CLI tool goes through here.
 //
 // Attaching a checker makes the run observed, which disables the coalesced
 // dispatch fast path — results are bit-identical, simulation is slower.
@@ -44,4 +45,14 @@ func AttachChecker(mc *MemoryConfig) (*check.Set, error) {
 		return probe.Multi(prev(ch), set.Channel(ch))
 	}
 	return set, nil
+}
+
+// Replay runs a recorded request stream through the memory system mc
+// describes, with the named device's datasheet applied as in Simulate.
+func Replay(reqs []memsys.Request, mc MemoryConfig) (memsys.Result, error) {
+	sys, err := memsys.New(mc.applyDevice().memsysConfig())
+	if err != nil {
+		return memsys.Result{}, err
+	}
+	return sys.Run(memsys.NewSliceSource(reqs))
 }

@@ -96,15 +96,6 @@ func (s *Server) Addr() string {
 	return s.ln.Addr().String()
 }
 
-// Close stops the server immediately, cutting off in-flight scrapes.
-// Nil-safe.
-func (s *Server) Close() error {
-	if s == nil {
-		return nil
-	}
-	return s.srv.Close()
-}
-
 // Shutdown stops the server gracefully: the listener closes immediately
 // (a mid-drain scrape attempt is refused rather than hung) while requests
 // already in flight — including long pprof captures — get until ctx to

@@ -35,7 +35,7 @@ func TestEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
+	defer s.Shutdown(context.Background())
 	base := "http://" + s.Addr()
 
 	code, body := get(t, base+"/metrics")
@@ -73,7 +73,7 @@ func TestNilRegistry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
+	defer s.Shutdown(context.Background())
 	code, body := get(t, "http://"+s.Addr()+"/metrics")
 	if code != http.StatusOK || strings.TrimSpace(body) != "" {
 		t.Errorf("nil-registry /metrics: status %d body %q", code, body)
