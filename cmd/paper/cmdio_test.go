@@ -1,6 +1,7 @@
 package main
 
 import (
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -51,6 +52,23 @@ func TestPaperStdoutByteIdentical(t *testing.T) {
 	}
 	if e, ok := s.Metrics.Find("sim_points_completed_total"); !ok || e.Value <= 0 {
 		t.Errorf("summary has no completed points: %+v ok=%v", e, ok)
+	}
+}
+
+// TestFaultsArtifactGolden pins `paper -only faults` byte for byte
+// (testdata/faults.golden, recorded before the degradation engine shared
+// the drivers' set-up and report step).
+func TestFaultsArtifactGolden(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "faults.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout, stderr, code := runPaper(t, "-only", "faults", "-fraction", "0.02")
+	if code != 0 {
+		t.Fatalf("exit = %d:\n%s", code, stderr)
+	}
+	if stdout != string(want) {
+		t.Errorf("stdout differs from testdata/faults.golden:\ngot:\n%s\nwant:\n%s", stdout, want)
 	}
 }
 
