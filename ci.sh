@@ -100,10 +100,16 @@ echo "== checked end-to-end run =="
 # One flagship run per tool path with -check on: any DRAM command that
 # violates the device timing constraints fails the build. The second run
 # crosses a reordering policy with a modern datasheet so the non-baseline
-# plumbing stays covered end to end.
+# plumbing stays covered end to end; the last two run that datasheet
+# through the stage-attribution and the degraded-mode (fault plan) drivers,
+# at a clock outside the paper device's range.
 go run ./cmd/mcmsim -format 1080p30 -channels 4 -fraction 0.02 -check >/dev/null
 go run ./cmd/mcmsim -format 1080p30 -channels 4 -fraction 0.02 -check \
     -page frfcfs -device lpddr4 -freq 800 >/dev/null
+go run ./cmd/mcmsim -format 1080p30 -channels 2 -fraction 0.02 -check \
+    -device lpddr4 -freq 800 -stages >/dev/null
+go run ./cmd/mcmsim -format 1080p30 -channels 2 -fraction 0.02 -check \
+    -device lpddr4 -freq 800 -fault-drop-channel 1 -fault-frames 4 >/dev/null
 echo "ci: checked run OK"
 
 echo "== fuzz smoke =="

@@ -14,6 +14,7 @@ import (
 	"os"
 	"time"
 
+	"repro/internal/check"
 	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/dram"
@@ -113,6 +114,7 @@ func main() {
 	mc.QueueDepth = *queue
 	mc.RefreshPostpone = *refPost
 	mc.PrechargeOnIdle = *preIdle
+	plain := mc // the stage pass runs on a system of its own, unprobed
 	if err := observed.Attach(&mc); err != nil {
 		cli.Fatal(err)
 	}
@@ -128,9 +130,7 @@ func main() {
 		plan.DropChannel = *faultDrop
 		plan.DropAtCycle = *faultDropAt
 		if plan.DropAtCycle == 0 {
-			// Default: halfway through the first (sampled) frame slot.
-			period := w.Profile.Format.FramePeriod().Cycles(mc.Freq)
-			plan.DropAtCycle = int64(float64(period)*model.Fraction) / 2
+			plan.DropAtCycle = core.MidFirstSlot(w, mc.Freq)
 		}
 	}
 	var cycles int64
@@ -138,7 +138,10 @@ func main() {
 		mc.Faults = &plan
 		cycles = runDegraded(w, mc, observed, *faultFrames, model.Fraction, qosOut)
 	} else {
-		cycles = runPoint(w, mc, observed, tier, model.Fraction, *perChan, *latency, *stages)
+		cycles = runPoint(w, mc, observed, tier, model.Fraction, *perChan, *latency)
+		if *stages {
+			runStages(w, plain, observed.Check)
+		}
 	}
 	if err := observed.Verify("check:      every DRAM command satisfied the device timing constraints"); err != nil {
 		cli.Fatal(err)
@@ -152,7 +155,7 @@ func main() {
 
 // runPoint simulates one frame and prints its report. It returns the
 // simulated cycle count for the run summary.
-func runPoint(w core.Workload, mc core.MemoryConfig, observed *cli.Observed, tier core.Fidelity, fraction float64, perChan, latency, stages bool) int64 {
+func runPoint(w core.Workload, mc core.MemoryConfig, observed *cli.Observed, tier core.Fidelity, fraction float64, perChan, latency bool) int64 {
 	start := time.Now()
 	res, err := core.SimulateAuto(w, mc, tier)
 	if err != nil {
@@ -198,18 +201,35 @@ func runPoint(w core.Workload, mc core.MemoryConfig, observed *cli.Observed, tie
 		fmt.Printf("latency:    %s cycles (p50<=%d p99<=%d)\n",
 			res.Latency, res.Latency.Quantile(0.5), res.Latency.Quantile(0.99))
 	}
-	if stages {
-		sres, err := core.SimulateStages(w, mc)
-		if err != nil {
+	return res.SimulatedCycles
+}
+
+// runStages re-runs the frame stage by stage on a fresh system and prints
+// each stage's share. When checked, that system gets a protocol checker
+// of its own: its clock restarts at zero, so the point run's checker
+// cannot follow it.
+func runStages(w core.Workload, mc core.MemoryConfig, checked bool) {
+	var set *check.Set
+	if checked {
+		var err error
+		if set, err = core.AttachChecker(&mc); err != nil {
 			cli.Fatal(err)
 		}
-		fmt.Println("per-stage attribution:")
-		for _, s := range sres {
-			fmt.Printf("  %-22s %10d B  %10.3f ms  %8.3f mJ  eff %.2f\n",
-				s.Name, s.Bytes, s.Time.Milliseconds(), s.Energy.Millijoules(), s.Efficiency)
+	}
+	sres, err := core.SimulateStages(w, mc)
+	if err != nil {
+		cli.Fatal(err)
+	}
+	if set != nil {
+		if err := cli.Violations(set, "stages"); err != nil {
+			cli.Fatal(err)
 		}
 	}
-	return res.SimulatedCycles
+	fmt.Println("per-stage attribution:")
+	for _, s := range sres {
+		fmt.Printf("  %-22s %10d B  %10.3f ms  %8.3f mJ  eff %.2f\n",
+			s.Name, s.Bytes, s.Time.Milliseconds(), s.Energy.Millijoules(), s.Efficiency)
+	}
 }
 
 // manifest starts the observed run's manifest with the fields both run

@@ -423,16 +423,11 @@ func faults(opt core.RunOptions) (*report.Table, error) {
 			return nil, err
 		}
 		w.SampleFraction = opt.SampleFraction
-		fraction := w.SampleFraction
-		if fraction == 0 {
-			fraction = 1
-		}
-		period := w.Profile.Format.FramePeriod().Cycles(core.PaperFrequency)
 		mc := core.PaperMemory(sc.channels, core.PaperFrequency)
 		mc.Faults = &fault.Plan{
 			Seed:        1,
 			DropChannel: sc.dropCh,
-			DropAtCycle: int64(float64(period)*fraction) / 2,
+			DropAtCycle: core.MidFirstSlot(w, core.PaperFrequency),
 		}
 		res, err := core.SimulateDegraded(w, mc, frames)
 		if err != nil {

@@ -30,8 +30,7 @@ func main() {
 		log.Fatal(err)
 	}
 	w.SampleFraction = *fraction
-	period := w.Profile.Format.FramePeriod().Cycles(core.PaperFrequency)
-	midFrame := int64(float64(period)**fraction) / 2
+	midFrame := core.MidFirstSlot(w, core.PaperFrequency)
 
 	scenarios := []struct {
 		name     string

@@ -3,7 +3,6 @@ package core
 import (
 	"repro/internal/analytic"
 	"repro/internal/dram"
-	"repro/internal/power"
 	"repro/internal/units"
 )
 
@@ -77,14 +76,7 @@ func AnalyticResult(w Workload, mc MemoryConfig) (Result, error) {
 	if res.PeakBandwidth > 0 {
 		res.Efficiency = float64(res.AchievedBandwidth) / float64(res.PeakBandwidth)
 	}
-	ds := power.DefaultDatasheet()
-	if mc.Datasheet != nil {
-		ds = *mc.Datasheet
-	}
-	iface := power.DefaultInterface()
-	if mc.Interface != nil {
-		iface = *mc.Interface
-	}
+	ds, iface := mc.powerParams()
 	res.TotalPower, err = analytic.FramePower(gen, speed, ds, iface, framePeriod)
 	if err != nil {
 		return Result{}, err

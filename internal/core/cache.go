@@ -16,12 +16,14 @@ import (
 	"repro/internal/usecase"
 )
 
-// CacheSchemaVersion names the simulation-result schema the cache stores.
-// Bump it whenever a change alters what Simulate computes for an unchanged
-// (Workload, MemoryConfig) — e.g. a controller timing fix or a new Result
-// field: in-process keys separate immediately (the version is folded into
-// every key) and the on-disk store moves to a fresh <root>/<version>/
-// directory, orphaning every stale entry without touching it.
+// CacheSchemaVersion names the layout of the cache's keys and stored
+// entries. Changed answers need no bump: cacheVersion folds
+// AnswerFingerprint in beside it, so a change that alters what Simulate
+// computes for an unchanged (Workload, MemoryConfig) — a controller timing
+// fix, a new Result field — moves every key on its own once the
+// fingerprint is re-recorded. In-process keys separate immediately and the
+// on-disk store moves to a fresh <root>/<version>/ directory, orphaning
+// every stale entry without touching it.
 //
 // v2: MemoryConfig gained the Device field (the datasheet registry), which
 // folds into every key via the reflective field walk.
@@ -29,10 +31,12 @@ const CacheSchemaVersion = "v2"
 
 // AnswerFingerprint hashes Simulate's answers on a small fixed point set
 // (see TestAnswerFingerprint). A change that moves any of them fails that
-// test until this constant is re-recorded, and that is the reminder to bump
-// CacheSchemaVersion too: every cache keyed by the old version would
-// otherwise keep serving the old answers.
+// test until this constant is re-recorded, and the cache keys move with
+// it.
 const AnswerFingerprint = "15c5c836400fba61"
+
+// cacheVersion versions every cache key and names the on-disk directory.
+const cacheVersion = CacheSchemaVersion + "-" + AnswerFingerprint
 
 // CacheStats is a snapshot of a SimCache's lookup counters.
 type CacheStats struct {
@@ -129,9 +133,9 @@ func NewSimCache() *SimCache {
 }
 
 // NewDiskSimCache returns a cache additionally backed by the on-disk store
-// rooted at dir (created if needed) under the current CacheSchemaVersion.
+// rooted at dir (created if needed) under the current cache version.
 func NewDiskSimCache(dir string) (*SimCache, error) {
-	disk, err := simcache.NewDisk(dir, CacheSchemaVersion)
+	disk, err := simcache.NewDisk(dir, cacheVersion)
 	if err != nil {
 		return nil, err
 	}
@@ -351,7 +355,7 @@ func cacheKeyTier(w Workload, mc MemoryConfig, tier Fidelity, envTag string) (si
 		return simcache.Key{}, false
 	}
 	e := simcache.NewEncoder()
-	e.String("core.Simulate/" + CacheSchemaVersion)
+	e.String("core.Simulate/" + cacheVersion)
 	if tier != FidelityExact {
 		e.String("fidelity/" + tier.String())
 		e.String("envelope/" + analytic.EnvelopeSchema + "/" + envTag)
@@ -396,14 +400,8 @@ func normalizeMemoryConfig(mc MemoryConfig) MemoryConfig {
 	if mc.InterleaveGranularity == 0 {
 		mc.InterleaveGranularity = mc.Geometry.BurstBytes()
 	}
-	if mc.Datasheet == nil {
-		ds := power.DefaultDatasheet()
-		mc.Datasheet = &ds
-	}
-	if mc.Interface == nil {
-		iface := power.DefaultInterface()
-		mc.Interface = &iface
-	}
+	ds, iface := mc.powerParams()
+	mc.Datasheet, mc.Interface = &ds, &iface
 	return mc
 }
 

@@ -357,18 +357,25 @@ func TestDiskCacheSchemaVersioning(t *testing.T) {
 	if _, err := c.Simulate(w, mc); err != nil {
 		t.Fatal(err)
 	}
-	// Entries land under the current schema version...
-	entries, err := filepath.Glob(filepath.Join(dir, CacheSchemaVersion, "*.json"))
+	// The cache version carries the answer fingerprint...
+	if want := CacheSchemaVersion + "-" + AnswerFingerprint; cacheVersion != want {
+		t.Fatalf("cache version %q, want %q (schema version and answer fingerprint)", cacheVersion, want)
+	}
+	// ...entries land under it...
+	entries, err := filepath.Glob(filepath.Join(dir, cacheVersion, "*.json"))
 	if err != nil || len(entries) != 1 {
-		t.Fatalf("entries under %s: %v, %v", CacheSchemaVersion, entries, err)
+		t.Fatalf("entries under %s: %v, %v", cacheVersion, entries, err)
 	}
-	// ...and a bumped schema version sees none of them.
-	next, err := simcache.NewDisk(dir, CacheSchemaVersion+"-next")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n, err := next.Len(); err != nil || n != 0 {
-		t.Errorf("bumped schema version inherited %d entries (%v)", n, err)
+	// ...and a bumped schema version or a re-recorded fingerprint sees
+	// none of them.
+	for _, v := range []string{"v3-" + AnswerFingerprint, CacheSchemaVersion + "-0000000000000000"} {
+		next, err := simcache.NewDisk(dir, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, err := next.Len(); err != nil || n != 0 {
+			t.Errorf("cache version %s inherited %d entries (%v)", v, n, err)
+		}
 	}
 }
 
@@ -383,7 +390,7 @@ func TestDiskCacheCorruptEntryRecomputes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	entries, err := filepath.Glob(filepath.Join(dir, CacheSchemaVersion, "*.json"))
+	entries, err := filepath.Glob(filepath.Join(dir, cacheVersion, "*.json"))
 	if err != nil || len(entries) != 1 {
 		t.Fatalf("entries: %v, %v", entries, err)
 	}

@@ -375,33 +375,12 @@ func simulateUncached(ctx context.Context, w Workload, mc MemoryConfig, lane *pr
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
-	if err := mc.Validate(); err != nil {
-		return Result{}, err
-	}
-	if err := w.Validate(); err != nil {
-		return Result{}, err
-	}
-	mc = mc.applyDevice()
-	if w.Params == (usecase.Params{}) {
-		w.Params = usecase.DefaultParams()
-	}
-	fraction := w.SampleFraction
-	if fraction == 0 {
-		fraction = 1
-	}
-
 	endPhase := lane.Phase("generate")
-	msc := mc.memsysConfig()
-	msc.RecordLatency = w.RecordLatency
-	sys, release, err := acquireSystem(msc)
+	r, err := newFrameRun(w, mc)
 	if err != nil {
 		return Result{}, err
 	}
-	gen, err := generatorFor(w.Profile, w.Params, mc.Channels, sys.Speed().Geometry, w.Load)
-	if err != nil {
-		return Result{}, err
-	}
-	src, err := gen.Frame(fraction)
+	src, err := r.gen.Frame(r.fraction)
 	if err != nil {
 		return Result{}, err
 	}
@@ -411,7 +390,7 @@ func simulateUncached(ctx context.Context, w Workload, mc MemoryConfig, lane *pr
 		return Result{}, err
 	}
 	endPhase = lane.Phase("simulate")
-	run, err := sys.Run(src)
+	run, err := r.sys.Run(src)
 	if err != nil {
 		return Result{}, err
 	}
@@ -422,72 +401,12 @@ func simulateUncached(ctx context.Context, w Workload, mc MemoryConfig, lane *pr
 	}
 	endPhase = lane.Phase("report")
 	defer endPhase()
-	speed := sys.Speed()
-	scale := 1 / fraction
-	cycles := int64(float64(run.Cycles) * scale)
-	accessTime := speed.CycleDuration(cycles)
-	framePeriod := w.Profile.Format.FramePeriod()
-	frameBytes := gen.FrameBytes()
-
-	res := Result{
-		Format:          w.Profile.Format,
-		Level:           w.Profile.Level,
-		Channels:        mc.Channels,
-		Freq:            mc.Freq,
-		FrameBytes:      frameBytes,
-		FramePeriod:     framePeriod,
-		AccessTime:      accessTime,
-		Verdict:         Classify(accessTime, framePeriod),
-		SimulatedCycles: run.Cycles,
-	}
-	res.RequiredBandwidth = units.Bandwidth(float64(frameBytes) / framePeriod.Seconds())
-	if accessTime > 0 {
-		res.AchievedBandwidth = units.Bandwidth(float64(frameBytes) / accessTime.Seconds())
-	}
-	res.PeakBandwidth = sys.PeakBandwidth()
-	if res.PeakBandwidth > 0 {
-		res.Efficiency = float64(res.AchievedBandwidth) / float64(res.PeakBandwidth)
-	}
-
-	// Power over the frame period; when the run does not fit (infeasible)
-	// report power over the actual makespan instead.
-	windowCycles := framePeriod.Cycles(speed.Freq)
-	if cycles > windowCycles {
-		windowCycles = cycles
-	}
-	ds := power.DefaultDatasheet()
-	if mc.Datasheet != nil {
-		ds = *mc.Datasheet
-	}
-	iface := power.DefaultInterface()
-	if mc.Interface != nil {
-		iface = *mc.Interface
-	}
-	pm, err := power.NewModel(ds, iface, speed)
-	if err != nil {
+	var res Result
+	if _, err := r.report(&res, run, 1, float64(r.gen.FrameBytes())); err != nil {
 		return Result{}, err
 	}
-	for _, chStats := range run.PerChannel {
-		scaled := scaleStats(chStats, scale)
-		if scaled.BusyCycles > windowCycles {
-			scaled.BusyCycles = windowCycles
-		}
-		b, err := pm.ChannelEnergy(scaled, windowCycles, !mc.DisablePowerDown)
-		if err != nil {
-			return Result{}, err
-		}
-		res.PerChannel = append(res.PerChannel, b)
-		res.TotalPower += b.AveragePower()
-		res.InterfacePower += b.InterfacePower()
-		res.Totals.Add(scaled)
-	}
-	if w.RecordLatency {
-		res.Latency = &stats.Histogram{}
-		for _, ch := range sys.Channels() {
-			res.Latency.Merge(ch.Latency())
-		}
-	}
-	if inj := sys.Injector(); inj != nil {
+	res.Verdict = Classify(res.AccessTime, res.FramePeriod)
+	if inj := r.sys.Injector(); inj != nil {
 		q := fault.NewQoS(1)
 		q.Counters = inj.Counters()
 		q.FailedChannel = run.FailedChannel
@@ -500,6 +419,6 @@ func simulateUncached(ctx context.Context, w Workload, mc MemoryConfig, lane *pr
 	}
 	// The run completed cleanly, so the subsystem may serve the next
 	// simulate after a Reset; error paths above abandon it instead.
-	release()
+	r.release()
 	return res, nil
 }

@@ -4,13 +4,9 @@ import (
 	"fmt"
 
 	"repro/internal/fault"
-	"repro/internal/load"
 	"repro/internal/memsys"
-	"repro/internal/power"
 	"repro/internal/probe"
-	"repro/internal/stats"
 	"repro/internal/units"
-	"repro/internal/usecase"
 	"repro/internal/video"
 )
 
@@ -69,57 +65,66 @@ const (
 // The per-frame loop and every fault decision are deterministic: the same
 // seed yields a byte-identical QoS report, serial or parallel.
 func SimulateDegraded(w Workload, mc MemoryConfig, frames int) (DegradedResult, error) {
+	r, err := newFrameRun(w, mc)
+	if err != nil {
+		return DegradedResult{}, err
+	}
+	res, last, err := r.runSlots(frames, true)
+	if err != nil {
+		return DegradedResult{}, err
+	}
+	if _, err := r.report(&res.Result, last, frames, float64(res.BytesRead+res.BytesWritten)*r.scale); err != nil {
+		return DegradedResult{}, err
+	}
+	// Verdict: how the run ended. Recovered (or never missed) is feasible
+	// in its degraded mode; still missing at the end is infeasible.
+	switch q := res.QoS; {
+	case q.Recovered() && q.LateFrames == 0:
+		res.Verdict = Feasible
+	case q.Recovered():
+		res.Verdict = Marginal
+	default:
+		res.Verdict = Infeasible
+	}
+	r.release()
+	return res, nil
+}
+
+// runSlots is the one paced driver: it runs frames consecutive frame
+// slots, each frame's traffic spread over (1-ProcessingMargin) of its
+// slot, one memsys Run per slot on the same system — so every Run's final
+// flush drains posted writes at the end of its slot. It records each
+// slot's QoS and returns the per-frame result (without its report) and
+// the final slot's memsys result, whose makespan and channel counters are
+// cumulative. With ladder on, a missed deadline steps the workload down
+// the degradation ladder; with it off the workload never changes and
+// misses are only recorded.
+func (r *frameRun) runSlots(frames int, ladder bool) (DegradedResult, memsys.Result, error) {
+	fail := func(err error) (DegradedResult, memsys.Result, error) {
+		return DegradedResult{}, memsys.Result{}, err
+	}
 	if frames <= 0 {
-		return DegradedResult{}, fmt.Errorf("core: %d frames", frames)
+		return fail(fmt.Errorf("core: %d frames", frames))
 	}
-	if err := mc.Validate(); err != nil {
-		return DegradedResult{}, err
-	}
-	if err := w.Validate(); err != nil {
-		return DegradedResult{}, err
-	}
-	if w.Params == (usecase.Params{}) {
-		w.Params = usecase.DefaultParams()
-	}
-	fraction := w.SampleFraction
-	if fraction == 0 {
-		fraction = 1
-	}
-
-	msc := mc.memsysConfig()
-	msc.RecordLatency = w.RecordLatency
-	sys, err := memsys.New(msc)
-	if err != nil {
-		return DegradedResult{}, err
-	}
+	sys := r.sys
 	speed := sys.Speed()
+	fraction := r.fraction
 
-	// Generator for the current ladder state; rebuilt on level changes.
-	profile := w.Profile
-	params := w.Params
-	newGen := func() (*load.Generator, error) {
-		uc, err := usecase.New(profile, params)
-		if err != nil {
-			return nil, err
-		}
-		return load.New(uc, mc.Channels, speed.Geometry, w.Load)
-	}
-	gen, err := newGen()
-	if err != nil {
-		return DegradedResult{}, err
-	}
-	fullFrameBytes := gen.FrameBytes()
+	// The generator for the current ladder state; swapped on level changes.
+	profile := r.w.Profile
+	params := r.w.Params
+	gen := r.gen
 
-	framePeriod := w.Profile.Format.FramePeriod()
-	periodCycles := framePeriod.Cycles(speed.Freq)
+	periodCycles := profile.Format.FramePeriod().Cycles(speed.Freq)
 	paceCycles := int64(float64(periodCycles) * (1 - ProcessingMargin))
-	// Sampled runs scale the slot with the traffic, like load.Paced, so the
-	// arrival intensity — and the fault plan's cycle triggers, which the
-	// caller states against the sampled timeline — are preserved.
+	// Sampled runs scale the slot with the traffic, so the arrival
+	// intensity, the idle-gap structure (and with it the power-down
+	// residency) and the fault plan's cycle triggers, which the caller
+	// states against the sampled timeline, are preserved.
 	period := int64(float64(periodCycles) * fraction)
 	pace := int64(float64(paceCycles) * fraction)
 	if period < 1 || pace < 1 {
-		return DegradedResult{}, fmt.Errorf("core: fraction %v collapses the frame slot", fraction)
+		return fail(fmt.Errorf("core: fraction %v collapses the frame slot", fraction))
 	}
 
 	qos := fault.NewQoS(frames)
@@ -157,7 +162,7 @@ func SimulateDegraded(w Workload, mc MemoryConfig, frames int) (DegradedResult, 
 			default:
 				return nil // exhausted: keep recording at the floor
 			}
-			g, err := newGen()
+			g, err := generatorFor(profile, params, r.mc.Channels, speed.Geometry, r.w.Load)
 			if err != nil {
 				return err
 			}
@@ -174,8 +179,7 @@ func SimulateDegraded(w Workload, mc MemoryConfig, frames int) (DegradedResult, 
 	meter := activeMeter.Load()
 	var prevInj fault.Counters
 
-	var lastRun memsys.Result
-	var ran bool
+	var last memsys.Result
 	for f := 0; f < frames; f++ {
 		start := int64(f) * period
 		deadline := start + period
@@ -193,13 +197,13 @@ func SimulateDegraded(w Workload, mc MemoryConfig, frames int) (DegradedResult, 
 
 		src, err := gen.PacedFrame(fraction, start, pace)
 		if err != nil {
-			return DegradedResult{}, err
+			return fail(err)
 		}
 		run, err := sys.Run(src)
 		if err != nil {
-			return DegradedResult{}, err
+			return fail(err)
 		}
-		lastRun, ran = run, true
+		last = run
 		// memsys channel stats are cumulative across Run calls; byte counts
 		// are per-run, so accumulate them here.
 		res.BytesRead += run.BytesRead
@@ -228,12 +232,14 @@ func SimulateDegraded(w Workload, mc MemoryConfig, frames int) (DegradedResult, 
 				qos.FirstMissFrame = f
 			}
 			qos.RecoveredFrame = -1 // a new miss re-opens recovery
-			levelBefore := level
-			if err := escalate(f, run.Cycles); err != nil {
-				return DegradedResult{}, err
-			}
-			if meter != nil && level != levelBefore {
-				meter.degradeSteps.Inc()
+			if ladder {
+				levelBefore := level
+				if err := escalate(f, run.Cycles); err != nil {
+					return fail(err)
+				}
+				if meter != nil && level != levelBefore {
+					meter.degradeSteps.Inc()
+				}
 			}
 		case run.Cycles > deadline-(period-pace)/2:
 			fr.Late = true
@@ -249,88 +255,30 @@ func SimulateDegraded(w Workload, mc MemoryConfig, frames int) (DegradedResult, 
 		res.PerFrame = append(res.PerFrame, fr)
 	}
 
+	// Frame 0 always runs, so last holds the final executed slot.
 	if inj := sys.Injector(); inj != nil {
 		qos.Counters = inj.Counters()
 	}
-	if ran {
-		qos.FailedChannel = lastRun.FailedChannel
-		qos.DropClock = lastRun.DropClock
-	}
+	qos.FailedChannel = last.FailedChannel
+	qos.DropClock = last.DropClock
 	res.QoS = &qos
 	res.FinalLevel = level
 	res.FinalFormat = profile.Format
+	return res, last, nil
+}
 
-	// Aggregate result fields, mirroring the sustained runner.
-	scale := 1 / fraction
-	var makespanCycles int64
-	if ran {
-		makespanCycles = lastRun.Cycles
+// MidFirstSlot returns the cycle halfway through the workload's first
+// frame slot at the given clock, on the sampled timeline the paced slot
+// loop runs (a zero SampleFraction is the full frame): the default cycle
+// of a fault plan's channel dropout. It is always positive, so a plan
+// carrying it always drops the channel.
+func MidFirstSlot(w Workload, freq units.Frequency) int64 {
+	fraction := w.SampleFraction
+	if fraction == 0 {
+		fraction = 1
 	}
-	cycles := int64(float64(makespanCycles) * scale)
-	res.Format = w.Profile.Format
-	res.Level = w.Profile.Level
-	res.Channels = mc.Channels
-	res.Freq = mc.Freq
-	res.FrameBytes = fullFrameBytes
-	res.FramePeriod = framePeriod
-	res.AccessTime = speed.CycleDuration(cycles / int64(frames))
-	res.SimulatedCycles = makespanCycles
-	// Verdict: how the run ended. Recovered (or never missed) is feasible
-	// in its degraded mode; still missing at the end is infeasible.
-	switch {
-	case qos.Recovered() && qos.LateFrames == 0:
-		res.Verdict = Feasible
-	case qos.Recovered():
-		res.Verdict = Marginal
-	default:
-		res.Verdict = Infeasible
-	}
-	res.RequiredBandwidth = units.Bandwidth(float64(fullFrameBytes) / framePeriod.Seconds())
-	if t := speed.CycleDuration(cycles); t > 0 {
-		res.AchievedBandwidth = units.Bandwidth(float64(res.BytesRead+res.BytesWritten) * scale / t.Seconds())
-	}
-	res.PeakBandwidth = sys.PeakBandwidth()
-	if res.PeakBandwidth > 0 {
-		res.Efficiency = float64(res.AchievedBandwidth) / float64(res.PeakBandwidth)
-	}
-
-	windowCycles := int64(frames) * periodCycles
-	if cycles > windowCycles {
-		windowCycles = cycles
-	}
-	ds := power.DefaultDatasheet()
-	if mc.Datasheet != nil {
-		ds = *mc.Datasheet
-	}
-	iface := power.DefaultInterface()
-	if mc.Interface != nil {
-		iface = *mc.Interface
-	}
-	pm, err := power.NewModel(ds, iface, speed)
-	if err != nil {
-		return DegradedResult{}, err
-	}
-	for _, ch := range sys.Channels() {
-		scaled := scaleStats(ch.Stats(), scale)
-		if scaled.BusyCycles > windowCycles {
-			scaled.BusyCycles = windowCycles
-		}
-		b, err := pm.ChannelEnergy(scaled, windowCycles, !mc.DisablePowerDown)
-		if err != nil {
-			return DegradedResult{}, err
-		}
-		res.PerChannel = append(res.PerChannel, b)
-		res.TotalPower += b.AveragePower()
-		res.InterfacePower += b.InterfacePower()
-		res.Totals.Add(scaled)
-	}
-	if w.RecordLatency {
-		res.Latency = &stats.Histogram{}
-		for _, ch := range sys.Channels() {
-			res.Latency.Merge(ch.Latency())
-		}
-	}
-	return res, nil
+	period := w.Profile.Format.FramePeriod().Cycles(freq)
+	return int64(float64(period)*fraction) / 2
 }
 
 // stepDownProfile returns the next smaller evaluated profile at the same

@@ -15,12 +15,8 @@ func dropPlan(t *testing.T, format string, ch int, fraction float64) *fault.Plan
 	if err != nil {
 		t.Fatal(err)
 	}
-	period := w.Profile.Format.FramePeriod().Cycles(PaperFrequency)
-	return &fault.Plan{
-		Seed:        1,
-		DropChannel: ch,
-		DropAtCycle: int64(float64(period)*fraction) / 2,
-	}
+	w.SampleFraction = fraction
+	return &fault.Plan{Seed: 1, DropChannel: ch, DropAtCycle: MidFirstSlot(w, PaperFrequency)}
 }
 
 func TestDegradedDropoutCompletes(t *testing.T) {

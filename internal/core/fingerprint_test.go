@@ -23,8 +23,8 @@ import (
 // 2160p60 × 1 and 8 channels × 200 and 533 MHz, open page) — at fraction
 // 0.002 and
 // hashes the Results. A mismatch means Simulate now answers differently
-// for an unchanged configuration, so caches keyed by the current
-// CacheSchemaVersion would serve stale results.
+// for an unchanged configuration; re-recording the constant moves every
+// cache key, since the cache version folds it in.
 func TestAnswerFingerprint(t *testing.T) {
 	const fraction = 0.002
 	type point struct {
@@ -63,7 +63,7 @@ func TestAnswerFingerprint(t *testing.T) {
 		h.Write([]byte{'\n'})
 	}
 	if got := hex.EncodeToString(h.Sum(nil))[:16]; got != AnswerFingerprint {
-		t.Fatalf("answers changed: bump CacheSchemaVersion and re-record AnswerFingerprint = %q (was %q) in cache.go",
+		t.Fatalf("answers changed: re-record AnswerFingerprint = %q (was %q) in cache.go (cache keys move with it)",
 			got, AnswerFingerprint)
 	}
 }

@@ -1,13 +1,7 @@
 package core
 
 import (
-	"fmt"
-
-	"repro/internal/load"
-	"repro/internal/memsys"
-	"repro/internal/power"
 	"repro/internal/units"
-	"repro/internal/usecase"
 )
 
 // StageResult attributes one pipeline stage's share of the frame.
@@ -33,44 +27,18 @@ type StageResult struct {
 // The stages run back to back on the same controllers (bank and bus state
 // carries over), so the per-stage times sum to the whole-frame access time.
 func SimulateStages(w Workload, mc MemoryConfig) ([]StageResult, error) {
-	if w.Params == (usecase.Params{}) {
-		w.Params = usecase.DefaultParams()
-	}
-	fraction := w.SampleFraction
-	if fraction == 0 {
-		fraction = 1
-	}
-	if fraction < 0 || fraction > 1 {
-		return nil, fmt.Errorf("core: sample fraction %v outside (0,1]", fraction)
-	}
-
-	ucLoad, err := usecase.New(w.Profile, w.Params)
+	r, err := newFrameRun(w, mc)
 	if err != nil {
 		return nil, err
 	}
-	sys, err := memsys.New(mc.memsysConfig())
-	if err != nil {
-		return nil, err
-	}
-	gen, err := load.New(ucLoad, mc.Channels, sys.Speed().Geometry, w.Load)
-	if err != nil {
-		return nil, err
-	}
+	sys, gen, fraction := r.sys, r.gen, r.fraction
 	speed := sys.Speed()
-	ds := power.DefaultDatasheet()
-	if mc.Datasheet != nil {
-		ds = *mc.Datasheet
-	}
-	iface := power.DefaultInterface()
-	if mc.Interface != nil {
-		iface = *mc.Interface
-	}
-	pm, err := power.NewModel(ds, iface, speed)
+	pm, err := r.powerModel()
 	if err != nil {
 		return nil, err
 	}
 
-	scale := 1 / fraction
+	scale := r.scale
 	var results []StageResult
 	var prevCycles int64
 	prevEnergy := units.Energy(0)
@@ -124,5 +92,6 @@ func SimulateStages(w Workload, mc MemoryConfig) ([]StageResult, error) {
 		}
 		results = append(results, sr)
 	}
+	r.release()
 	return results, nil
 }

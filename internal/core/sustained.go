@@ -1,14 +1,7 @@
 package core
 
 import (
-	"fmt"
-
-	"repro/internal/fault"
-	"repro/internal/load"
-	"repro/internal/memsys"
-	"repro/internal/power"
 	"repro/internal/units"
-	"repro/internal/usecase"
 )
 
 // SustainedResult extends Result for a paced multi-frame run: instead of
@@ -34,133 +27,50 @@ type SustainedResult struct {
 
 // SimulateSustained runs frames consecutive paced frame slots of the
 // workload. Traffic is spread over (1-ProcessingMargin) of each slot,
-// modeling the processing share the paper reserves.
+// modeling the processing share the paper reserves. It is a view of the
+// degradation engine's slot loop with the ladder off: the workload never
+// changes, posted writes drain at the end of every slot, and the QoS
+// report (with a fault plan) counts each slot's deadline miss.
 func SimulateSustained(w Workload, mc MemoryConfig, frames int) (SustainedResult, error) {
-	if frames <= 0 {
-		return SustainedResult{}, fmt.Errorf("core: %d frames", frames)
-	}
-	if err := mc.Validate(); err != nil {
-		return SustainedResult{}, err
-	}
-	if err := w.Validate(); err != nil {
-		return SustainedResult{}, err
-	}
-	if w.Params == (usecase.Params{}) {
-		w.Params = usecase.DefaultParams()
-	}
-	fraction := w.SampleFraction
-	if fraction == 0 {
-		fraction = 1
-	}
-
-	ucLoad, err := usecase.New(w.Profile, w.Params)
+	r, err := newFrameRun(w, mc)
 	if err != nil {
 		return SustainedResult{}, err
 	}
-	sys, err := memsys.New(mc.memsysConfig())
+	d, last, err := r.runSlots(frames, false)
 	if err != nil {
 		return SustainedResult{}, err
 	}
-	gen, err := load.New(ucLoad, mc.Channels, sys.Speed().Geometry, w.Load)
+	res := SustainedResult{Frames: frames}
+	window, err := r.report(&res.Result, last, frames, float64(r.gen.FrameBytes())*float64(frames))
 	if err != nil {
 		return SustainedResult{}, err
 	}
-
-	speed := sys.Speed()
-	framePeriod := w.Profile.Format.FramePeriod()
-	periodCycles := framePeriod.Cycles(speed.Freq)
-	paceCycles := int64(float64(periodCycles) * (1 - ProcessingMargin))
-	src, err := gen.Paced(fraction, periodCycles, paceCycles, frames)
-	if err != nil {
-		return SustainedResult{}, err
-	}
-	run, err := sys.Run(src)
-	if err != nil {
-		return SustainedResult{}, err
-	}
-
-	scale := 1 / fraction
-	cycles := int64(float64(run.Cycles) * scale)
-	makespan := speed.CycleDuration(cycles)
-	runWindow := units.Duration(int64(frames)) * framePeriod
-	windowCycles := int64(frames) * periodCycles
-	if cycles > windowCycles {
-		windowCycles = cycles
-	}
-
-	res := SustainedResult{
-		Frames:   frames,
-		Lateness: makespan - runWindow,
-	}
-	res.Format = w.Profile.Format
-	res.Level = w.Profile.Level
-	res.Channels = mc.Channels
-	res.Freq = mc.Freq
-	res.FrameBytes = gen.FrameBytes()
-	res.FramePeriod = framePeriod
+	makespan := r.sys.Speed().CycleDuration(int64(float64(last.Cycles) * r.scale))
+	runWindow := units.Duration(int64(frames)) * res.FramePeriod
+	res.Lateness = makespan - runWindow
 	// Per-frame access budget semantics: the sustained run is feasible
 	// when it never falls behind its slots.
-	res.AccessTime = speed.CycleDuration(cycles / int64(frames))
-	if res.Lateness <= 0 {
+	switch {
+	case res.Lateness <= 0:
 		res.Verdict = Feasible
-	} else if float64(res.Lateness) <= ProcessingMargin*float64(runWindow) {
+	case float64(res.Lateness) <= ProcessingMargin*float64(runWindow):
 		res.Verdict = Marginal
-	} else {
+	default:
 		res.Verdict = Infeasible
 	}
-	res.RequiredBandwidth = units.Bandwidth(float64(res.FrameBytes) / framePeriod.Seconds())
-	if makespan > 0 {
-		res.AchievedBandwidth = units.Bandwidth(float64(res.FrameBytes) * float64(frames) / makespan.Seconds())
-	}
-	res.PeakBandwidth = sys.PeakBandwidth()
-	if res.PeakBandwidth > 0 {
-		res.Efficiency = float64(res.AchievedBandwidth) / float64(res.PeakBandwidth)
-	}
 
-	ds := power.DefaultDatasheet()
-	if mc.Datasheet != nil {
-		ds = *mc.Datasheet
-	}
-	iface := power.DefaultInterface()
-	if mc.Interface != nil {
-		iface = *mc.Interface
-	}
-	pm, err := power.NewModel(ds, iface, speed)
-	if err != nil {
-		return SustainedResult{}, err
-	}
 	var pdCycles int64
-	for _, chStats := range run.PerChannel {
-		scaled := scaleStats(chStats, scale)
-		if scaled.BusyCycles > windowCycles {
-			scaled.BusyCycles = windowCycles
-		}
-		b, err := pm.ChannelEnergy(scaled, windowCycles, !mc.DisablePowerDown)
-		if err != nil {
-			return SustainedResult{}, err
-		}
-		res.PerChannel = append(res.PerChannel, b)
-		res.TotalPower += b.AveragePower()
-		res.InterfacePower += b.InterfacePower()
-		res.Totals.Add(scaled)
-		pdCycles += scaled.PowerDownCycles + (windowCycles - scaled.BusyCycles)
-		res.PowerDownExits += scaled.PowerDownExits
+	for _, st := range last.PerChannel {
+		scaled := scaleStats(st, r.scale)
+		pdCycles += scaled.PowerDownCycles + window - min(scaled.BusyCycles, window)
 	}
-	if n := int64(len(run.PerChannel)) * windowCycles; n > 0 {
+	if n := int64(len(last.PerChannel)) * window; n > 0 {
 		res.PowerDownResidency = float64(pdCycles) / float64(n)
 	}
-	if inj := sys.Injector(); inj != nil {
-		q := fault.NewQoS(frames)
-		q.Counters = inj.Counters()
-		q.FailedChannel = run.FailedChannel
-		q.DropClock = run.DropClock
-		if res.Lateness > 0 {
-			// A single paced run only exposes terminal lateness; per-frame
-			// miss accounting needs the degradation engine (SimulateDegraded).
-			q.DeadlineMisses = 1
-			q.FirstMissFrame = frames - 1
-		}
-		res.QoS = &q
+	res.PowerDownExits = res.Totals.PowerDownExits
+	if r.sys.Injector() != nil {
+		res.QoS = d.QoS
 	}
+	r.release()
 	return res, nil
 }

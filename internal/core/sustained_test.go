@@ -34,6 +34,10 @@ func TestSimulateSustainedValidates(t *testing.T) {
 	if _, err := SimulateSustained(w, PaperMemory(0, 400*units.MHz), 1); err == nil {
 		t.Error("expected channels error")
 	}
+	w.SampleFraction = 1e-9
+	if _, err := SimulateSustained(w, PaperMemory(1, 400*units.MHz), 1); err == nil {
+		t.Error("expected collapsed frame slot error")
+	}
 }
 
 // A feasible configuration keeps up: the paced run never falls behind its

@@ -10,9 +10,9 @@ import (
 
 // Validate checks the memory configuration before any simulation work
 // starts, replacing the scattered ad-hoc checks the constructors used to
-// perform piecemeal. It is called at the top of Simulate,
-// SimulateSustained and SimulateDegraded; CLIs print the returned message
-// to stderr and exit non-zero.
+// perform piecemeal. Every driver reaches it through the set-up all of
+// them share (see frameRun), before the device datasheet is applied; CLIs
+// print the returned message to stderr and exit non-zero.
 func (mc MemoryConfig) Validate() error {
 	if mc.Channels <= 0 {
 		return fmt.Errorf("core: invalid channel count %d: want a positive number of channels (the paper evaluates 1, 2, 4, 8)", mc.Channels)

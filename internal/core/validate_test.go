@@ -79,4 +79,7 @@ func TestWorkloadValidate(t *testing.T) {
 	if _, err := SimulateDegraded(w, bad, 2); err == nil {
 		t.Error("SimulateDegraded accepted invalid config")
 	}
+	if _, err := SimulateStages(w, bad); err == nil {
+		t.Error("SimulateStages accepted invalid config")
+	}
 }

@@ -6,62 +6,17 @@ import (
 	"repro/internal/memsys"
 )
 
-// Paced returns a transaction source for a sustained recording: frames
-// consecutive frame slots of periodCycles each, with every frame's traffic
-// spread evenly across the first paceCycles of its slot (paceCycles <=
-// periodCycles; the remainder models the processing margin). Unlike Frame,
-// requests carry arrival times, so the memory idles — and powers down —
-// between paced transactions whenever it is faster than the load.
-//
-// fraction in (0,1] samples the run self-similarly: each frame's traffic
-// AND its slot are scaled by the fraction, so arrival intensity, idle-gap
-// structure and therefore state residency are preserved, and a sampled
-// run's statistics extrapolate to the full run by 1/fraction.
-func (g *Generator) Paced(fraction float64, periodCycles, paceCycles int64, frames int) (memsys.Source, error) {
-	if frames <= 0 {
-		return nil, fmt.Errorf("load: %d frames", frames)
-	}
-	if periodCycles <= 0 {
-		return nil, fmt.Errorf("load: period %d cycles", periodCycles)
-	}
-	if paceCycles <= 0 || paceCycles > periodCycles {
-		return nil, fmt.Errorf("load: pace window %d outside (0, period %d]", paceCycles, periodCycles)
-	}
-	first, err := g.Frame(fraction) // validates fraction
-	if err != nil {
-		return nil, err
-	}
-	var frameBytes int64
-	for _, st := range g.stages {
-		for _, s := range st.streams {
-			frameBytes += int64(float64(s.bytes) * fraction)
-		}
-	}
-	if frameBytes <= 0 {
-		return nil, fmt.Errorf("load: empty frame at fraction %v", fraction)
-	}
-	period := int64(float64(periodCycles) * fraction)
-	pace := int64(float64(paceCycles) * fraction)
-	if period < 1 || pace < 1 {
-		return nil, fmt.Errorf("load: fraction %v collapses the frame slot", fraction)
-	}
-	return &pacedSource{
-		gen:        g,
-		fraction:   fraction,
-		src:        first,
-		frames:     frames,
-		period:     period,
-		pace:       pace,
-		frameBytes: frameBytes,
-	}, nil
-}
-
 // PacedFrame returns a transaction source for a single frame whose arrivals
-// are spread evenly across the paceCycles starting at startCycle. It is the
-// one-slot building block the degradation engine uses to pace frames
-// individually while it adapts the workload between slots (see
-// core.SimulateDegraded); cycle values are in the caller's clock domain, so
-// a sampling caller passes an already fraction-scaled slot.
+// are spread evenly across the paceCycles starting at startCycle. Unlike
+// Frame, requests carry arrival times, so the memory idles — and powers
+// down — between paced transactions whenever it is faster than the load.
+// It is the one-slot building block of every paced run: the core engine
+// runs one such frame per frame slot, adapting the workload between slots
+// when it degrades (see core.SimulateSustained and core.SimulateDegraded).
+// Cycle values are in the caller's clock domain, so a sampling caller
+// passes an already fraction-scaled slot: scaling each frame's traffic and
+// its slot by the fraction preserves the arrival intensity and idle-gap
+// structure, so a sampled run extrapolates to the full run by 1/fraction.
 func (g *Generator) PacedFrame(fraction float64, startCycle, paceCycles int64) (memsys.Source, error) {
 	if startCycle < 0 {
 		return nil, fmt.Errorf("load: negative slot start %d", startCycle)
@@ -103,40 +58,4 @@ func (s *slotSource) Next() (memsys.Request, bool) {
 	req.Arrival = s.start + s.sent*s.pace/s.frameBytes
 	s.sent += req.Bytes
 	return req, true
-}
-
-// pacedSource stamps arrivals onto the frame source and re-arms it for each
-// successive frame slot.
-type pacedSource struct {
-	gen        *Generator
-	fraction   float64
-	src        memsys.Source
-	frames     int
-	frame      int
-	period     int64 // slot length, already fraction-scaled
-	pace       int64 // pace window, already fraction-scaled
-	frameBytes int64 // payload per (sampled) frame
-	sent       int64 // bytes emitted within the current frame
-}
-
-// Next implements memsys.Source.
-func (p *pacedSource) Next() (memsys.Request, bool) {
-	for {
-		req, ok := p.src.Next()
-		if ok {
-			req.Arrival = int64(p.frame)*p.period + p.sent*p.pace/p.frameBytes
-			p.sent += req.Bytes
-			return req, true
-		}
-		p.frame++
-		if p.frame >= p.frames {
-			return memsys.Request{}, false
-		}
-		src, err := p.gen.Frame(p.fraction)
-		if err != nil {
-			return memsys.Request{}, false
-		}
-		p.src = src
-		p.sent = 0
-	}
 }

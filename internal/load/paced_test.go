@@ -6,115 +6,104 @@ import (
 	"repro/internal/memsys"
 )
 
-func TestPacedValidates(t *testing.T) {
+func TestPacedFrameValidates(t *testing.T) {
 	g := gen(t, "720p30", 2)
 	cases := []struct {
-		fraction     float64
-		period, pace int64
-		frames       int
+		fraction    float64
+		start, pace int64
 	}{
-		{0.1, 1000, 900, 0},  // frames
-		{0.1, 0, 900, 1},     // period
-		{0.1, 1000, 0, 1},    // pace
-		{0.1, 1000, 2000, 1}, // pace > period
-		{0, 1000, 900, 1},    // fraction
-		{1e-9, 1000, 900, 1}, // fraction collapses the slot
+		{0.1, -1, 900}, // start
+		{0.1, 0, 0},    // pace
+		{0, 0, 900},    // fraction
+		{1.5, 0, 900},  // fraction
+		{1e-9, 0, 900}, // fraction empties the frame
 	}
 	for i, c := range cases {
-		if _, err := g.Paced(c.fraction, c.period, c.pace, c.frames); err == nil {
+		if _, err := g.PacedFrame(c.fraction, c.start, c.pace); err == nil {
 			t.Errorf("case %d: expected error", i)
 		}
 	}
 }
 
-func TestPacedArrivalsMonotoneWithinSlots(t *testing.T) {
+// Consecutive slots, as the core engine paces them: arrivals never go
+// backwards and every arrival stays inside its own slot's pace window.
+func TestPacedFrameArrivalsMonotoneWithinSlots(t *testing.T) {
 	g := gen(t, "720p30", 2)
-	const period, pace = 1_000_000, 850_000
-	src, err := g.Paced(0.05, period, pace, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	effPeriod := int64(float64(period) * 0.05)
-	effPace := int64(float64(pace) * 0.05)
+	const period, pace = 50_000, 42_500 // 1M and 850k cycles scaled by 0.05
+	const fraction = 0.05
 	var prev int64 = -1
-	var frames int
-	var lastFrame int64 = -1
-	for {
-		r, ok := src.Next()
-		if !ok {
-			break
+	for f := int64(0); f < 3; f++ {
+		src, err := g.PacedFrame(fraction, f*period, pace)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if r.Arrival < prev {
-			t.Fatalf("arrival went backwards: %d after %d", r.Arrival, prev)
+		reqs := drain(t, src)
+		if len(reqs) == 0 {
+			t.Fatalf("slot %d carried no traffic", f)
 		}
-		prev = r.Arrival
-		frame := r.Arrival / effPeriod
-		if frame != lastFrame {
-			frames++
-			lastFrame = frame
+		for _, r := range reqs {
+			if r.Arrival < prev {
+				t.Fatalf("slot %d: arrival went backwards: %d after %d", f, r.Arrival, prev)
+			}
+			prev = r.Arrival
+			if off := r.Arrival - f*period; off < 0 || off > pace {
+				t.Fatalf("slot %d: arrival offset %d outside pace window [0, %d]", f, off, pace)
+			}
 		}
-		// Every arrival stays inside its slot's pace window.
-		if off := r.Arrival % effPeriod; off > effPace {
-			t.Fatalf("arrival offset %d beyond pace window %d", off, effPace)
-		}
-	}
-	if frames != 3 {
-		t.Errorf("traffic spanned %d slots, want 3", frames)
 	}
 }
 
-func TestPacedEmitsSameTrafficAsFrames(t *testing.T) {
+// Pacing only stamps arrivals: the transactions are the frame's own.
+func TestPacedFrameEmitsSameTrafficAsFrame(t *testing.T) {
 	g := gen(t, "720p30", 2)
-	paced, err := g.Paced(0.05, 1_000_000, 900_000, 2)
+	paced, err := g.PacedFrame(0.05, 1_000_000, 900_000)
 	if err != nil {
 		t.Fatal(err)
-	}
-	var pacedBytes int64
-	for {
-		r, ok := paced.Next()
-		if !ok {
-			break
-		}
-		pacedBytes += r.Bytes
 	}
 	single, err := g.Frame(0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var frameBytes int64
-	for {
-		r, ok := single.Next()
-		if !ok {
-			break
-		}
-		frameBytes += r.Bytes
+	got, want := drain(t, paced), drain(t, single)
+	if len(got) != len(want) {
+		t.Fatalf("paced frame has %d transactions, want %d", len(got), len(want))
 	}
-	if pacedBytes != 2*frameBytes {
-		t.Errorf("paced traffic = %d bytes, want 2 frames = %d", pacedBytes, 2*frameBytes)
+	for i := range got {
+		r := got[i]
+		r.Arrival = want[i].Arrival
+		if r != want[i] {
+			t.Fatalf("transaction %d = %+v, want %+v (arrival aside)", i, got[i], want[i])
+		}
 	}
 }
 
-func TestPacedRunsOnMemSys(t *testing.T) {
+// Two paced slots, one Run each on the same system, power down between
+// transactions and take as long as the pacing, not the saturated service.
+func TestPacedFrameRunsOnMemSys(t *testing.T) {
 	g := gen(t, "720p30", 2)
 	// One 30 fps frame at 400 MHz is ~13.3M cycles; pace over 85 %.
-	src, err := g.Paced(0.02, 13_333_333, 11_333_333, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	const period, pace = 266_666, 226_666 // scaled by fraction 0.02
+	const fraction = 0.02
 	sys, err := memsys.New(memsys.PaperConfig(2, 400e6))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sys.Run(src)
-	if err != nil {
-		t.Fatal(err)
+	var res memsys.Result
+	for f := int64(0); f < 2; f++ {
+		src, err := g.PacedFrame(fraction, f*period, pace)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res, err = sys.Run(src); err != nil {
+			t.Fatal(err)
+		}
 	}
 	tot := res.Totals()
 	if tot.PowerDownExits == 0 || tot.PowerDownCycles == 0 {
 		t.Errorf("paced run should power down between transactions: %+v", tot)
 	}
 	// The makespan tracks the pacing, not the saturated service time.
-	if res.Cycles < 266_666 {
-		t.Errorf("makespan %d shorter than one scaled slot", res.Cycles)
+	if res.Cycles < period {
+		t.Errorf("makespan %d shorter than one scaled slot %d", res.Cycles, period)
 	}
 }
