@@ -1,8 +1,13 @@
 package main
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
@@ -114,4 +119,90 @@ func TestDriverStdoutGoldens(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestObservedRunGoldens pins what a probed run writes, for every policy:
+// stdout (with its -check line), the -metrics-out timeseries CSV and a
+// SHA-256 of the -trace-out document without its wall-clock phase spans,
+// the one part of it that is not a function of the simulated schedule.
+func TestObservedRunGoldens(t *testing.T) {
+	for _, policy := range []string{"open-page", "closed-page", "frfcfs", "bank-partition"} {
+		t.Run(policy, func(t *testing.T) {
+			dir := t.TempDir()
+			metrics, trace := filepath.Join(dir, "metrics.csv"), filepath.Join(dir, "trace.json")
+			stdout, stderr, code := clitest.Run(t, "-format", "720p30", "-channels", "2", "-fraction", "0.01",
+				"-policy", policy, "-probe-window", "5000", "-metrics-out", metrics, "-trace-out", trace, "-check")
+			if code != 0 {
+				t.Fatalf("exit = %d:\n%s", code, stderr)
+			}
+			var got strings.Builder
+			for _, line := range strings.SplitAfter(stdout, "\n") {
+				if !strings.HasPrefix(line, "observability: wrote ") { // names the temporary files
+					got.WriteString(line)
+				}
+			}
+			fmt.Fprintf(&got, "trace sha256: %s\n", scheduleDigest(t, trace))
+			csv, err := os.ReadFile(metrics)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got.Write(csv)
+			golden := "observed-" + policy + ".golden"
+			want, err := os.ReadFile(filepath.Join("testdata", golden))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.String() != string(want) {
+				t.Errorf("observed run differs from testdata/%s:\ngot:\n%s\nwant:\n%s", golden, got.String(), want)
+			}
+		})
+	}
+}
+
+// scheduleDigest hashes a Chrome trace document with the events on its
+// wall-clock phase-span process left out.
+func scheduleDigest(t *testing.T, path string) string {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	var other struct {
+		PhasePID *int `json:"phase_span_pid"`
+	}
+	var events []json.RawMessage
+	if err := json.Unmarshal(doc["otherData"], &other); err != nil || other.PhasePID == nil {
+		t.Fatalf("otherData lacks phase_span_pid: %s (%v)", doc["otherData"], err)
+	}
+	if err := json.Unmarshal(doc["traceEvents"], &events); err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]string, 0, len(doc))
+	for k := range doc {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	h := sha256.New()
+	for _, k := range keys {
+		if k != "traceEvents" {
+			fmt.Fprintf(h, "%s=%s\n", k, doc[k])
+		}
+	}
+	for _, ev := range events {
+		var e struct {
+			PID int `json:"pid"`
+		}
+		if err := json.Unmarshal(ev, &e); err != nil {
+			t.Fatal(err)
+		}
+		if e.PID != *other.PhasePID {
+			h.Write(ev)
+			h.Write([]byte{'\n'})
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
