@@ -102,10 +102,15 @@ echo "== checked end-to-end run =="
 # crosses a reordering policy with a modern datasheet so the non-baseline
 # plumbing stays covered end to end; the last two run that datasheet
 # through the stage-attribution and the degraded-mode (fault plan) drivers,
-# at a clock outside the paper device's range.
+# at a clock outside the paper device's range. Checked runs take the same
+# coalesced dispatch as unchecked ones, so with the closed-page (ACT-period
+# jump) and bank-partition runs every policy's row-jump path runs under
+# the checker.
 go run ./cmd/mcmsim -format 1080p30 -channels 4 -fraction 0.02 -check >/dev/null
 go run ./cmd/mcmsim -format 1080p30 -channels 4 -fraction 0.02 -check \
     -page frfcfs -device lpddr4 -freq 800 >/dev/null
+go run ./cmd/mcmsim -format 1080p30 -channels 4 -fraction 0.02 -check -policy closed-page >/dev/null
+go run ./cmd/mcmsim -format 1080p30 -channels 4 -fraction 0.02 -check -policy bank-partition >/dev/null
 go run ./cmd/mcmsim -format 1080p30 -channels 2 -fraction 0.02 -check \
     -device lpddr4 -freq 800 -stages >/dev/null
 go run ./cmd/mcmsim -format 1080p30 -channels 2 -fraction 0.02 -check \

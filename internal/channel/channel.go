@@ -251,16 +251,10 @@ func (ch *Channel) CopyStateFrom(src *Channel) {
 // reorder window, so a reset channel replays the identical run.
 func (ch *Channel) Reset() {
 	ch.ctl.Reset()
-	ch.queue = controller.NewReorderQueue(ch.ctl, ch.queueDepth())
+	ch.queue.Reset()
 	if ch.inj != nil {
 		ch.inj.Reset()
 	}
-}
-
-func (ch *Channel) queueDepth() int {
-	// The queue's depth is immutable after construction; re-derive it
-	// from the existing wrapper (0 when reordering is off).
-	return ch.queue.Depth()
 }
 
 // decode maps a channel-local byte address to its DRAM coordinate using the

@@ -89,16 +89,12 @@ type Config struct {
 	WriteBufferDepth int
 	// Probe, when non-nil, receives a typed event for every DRAM command,
 	// row outcome, power-state residency and request enqueue/complete the
-	// controller processes (see internal/probe). Nil — the default —
-	// keeps the hot path event-free.
+	// controller processes (see internal/probe). Bursts applied in a
+	// row-run jump (see jumpRow) emit synthesized per-burst event groups,
+	// identical event for event to the per-burst path's (the
+	// internal/check differential oracle asserts this). Nil — the
+	// default — keeps the hot path event-free.
 	Probe probe.Sink
-	// SynthCoalescedEvents keeps the row-run jumps (see jumpRow) active
-	// with a probe attached: jumped bursts synthesize the per-burst event
-	// groups arithmetically, producing a stream identical event for event
-	// to the per-burst reference path (the internal/check differential
-	// oracle asserts this). Testing/oracle knob; ordinary observation uses
-	// the exact path and pays nothing for this field.
-	SynthCoalescedEvents bool
 	// Channel tags emitted events with this channel index.
 	Channel int
 	// Faults, when non-nil, is this channel's fault decision stream (see
@@ -112,15 +108,12 @@ type Config struct {
 // DRAM interconnect and bank cluster. All times are in DRAM clock cycles
 // from the start of the simulation.
 type Controller struct {
-	cfg    Config
-	pol    Policy       // resolved from cfg.Policy in New; stateless singleton
-	remap  bankRemapper // pol when it remaps banks, else nil (identity)
-	mapper mapping.BankMapper
-	banks  []bankState
-	// autoPre caches pol.AutoPrecharge(); exact is set when a probe
-	// without event synthesis or a fault stream rules out row jumps.
-	autoPre bool
-	exact   bool
+	cfg     Config
+	pol     Policy       // resolved from cfg.Policy in New; stateless singleton
+	remap   bankRemapper // pol when it remaps banks, else nil (identity)
+	mapper  mapping.BankMapper
+	banks   []bankState
+	autoPre bool // pol.AutoPrecharge(), cached
 
 	cmdClock      int64 // next free command-bus cycle
 	busFreeAt     int64 // first cycle the data bus is free
@@ -189,28 +182,9 @@ func New(cfg Config) (*Controller, error) {
 		return nil, fmt.Errorf("controller: negative refresh postponement %d", cfg.RefreshPostpone)
 	}
 	remap, _ := pol.(bankRemapper)
-	c := &Controller{
-		cfg:    cfg,
-		pol:    pol,
-		remap:  remap,
-		mapper: mapper,
-		banks:  make([]bankState, cfg.Speed.Geometry.Banks),
-		probe:  cfg.Probe,
-		chID:   int32(cfg.Channel),
-
-		autoPre: pol.AutoPrecharge(),
-		exact:   (cfg.Probe != nil && !cfg.SynthCoalescedEvents) || cfg.Faults != nil,
-	}
-	c.refi = cfg.Speed.REFI
-	c.nextRefreshAt = cfg.Speed.REFI
-	switch {
-	case cfg.SelfRefreshThreshold > 0:
-		c.srThreshold = cfg.SelfRefreshThreshold
-	case cfg.SelfRefreshThreshold == 0:
-		c.srThreshold = 4 * cfg.Speed.REFI
-	default:
-		c.srThreshold = 0 // disabled
-	}
+	c := &Controller{cfg: cfg, pol: pol, remap: remap, mapper: mapper,
+		banks: make([]bankState, cfg.Speed.Geometry.Banks)}
+	c.Reset()
 	return c, nil
 }
 
@@ -767,10 +741,10 @@ func (c *Controller) accessRow(write bool, loc mapping.Location, n int, arrival 
 //
 // Either way the count is capped so that a due refresh, checked against
 // the command clock before every burst, still fires on its exact cycle.
-// Probes without event synthesis, fault streams and posted writes keep the
-// exact path.
+// Fault streams and posted writes keep the exact path; a probe sees the
+// jumped bursts as synthesized events.
 func (c *Controller) jumpRow(write bool, loc mapping.Location, arrival, m int64, ev queueEvents) (int64, int64) {
-	if c.exact || (write && c.cfg.WriteBufferDepth > 0) || c.lastXferWrite != write {
+	if c.cfg.Faults != nil || (write && c.cfg.WriteBufferDepth > 0) || c.lastXferWrite != write {
 		return 0, 0
 	}
 	s := &c.cfg.Speed
@@ -951,23 +925,34 @@ func copyInto[T any](dst, src []T) []T {
 
 // Reset returns the controller to its initial state, keeping configuration.
 // The probe sink (when configured) is retained; its event stream restarts
-// from cycle zero. Reset rebuilds through New rather than zeroing fields by
-// hand, so a field added to Controller can never be forgotten here — a
-// reset controller is a fresh one by construction (the equivalence test
-// pins this with reflection).
+// from cycle zero. New builds every controller through Reset, and Reset
+// rebuilds the whole struct from the configuration and the state New
+// derived from it, so a field added to Controller can never be forgotten
+// here — a reset controller is a fresh one by construction (the
+// equivalence test pins this with reflection). The banks' backing array
+// is zeroed and kept, so a Reset allocates nothing.
 func (c *Controller) Reset() {
-	fresh, err := New(c.cfg)
-	if err != nil {
-		// New accepted this exact configuration when c was built; it
-		// cannot reject it now.
-		panic(fmt.Sprintf("controller: Reset re-validation failed: %v", err))
+	cfg, banks := c.cfg, c.banks
+	clear(banks)
+	*c = Controller{
+		cfg:     cfg,
+		pol:     c.pol,
+		remap:   c.remap,
+		mapper:  c.mapper,
+		banks:   banks,
+		autoPre: c.pol.AutoPrecharge(),
+		probe:   cfg.Probe,
+		chID:    int32(cfg.Channel),
+
+		refi:          cfg.Speed.REFI,
+		nextRefreshAt: cfg.Speed.REFI,
 	}
-	// Recycle the existing banks backing array instead of keeping the one
-	// New just allocated: the fresh zero-valued bank states are copied in
-	// first, so the adopted slice is indistinguishable from fresh.
-	if len(c.banks) == len(fresh.banks) {
-		copy(c.banks, fresh.banks)
-		fresh.banks = c.banks
+	switch {
+	case cfg.SelfRefreshThreshold > 0:
+		c.srThreshold = cfg.SelfRefreshThreshold
+	case cfg.SelfRefreshThreshold == 0:
+		c.srThreshold = 4 * cfg.Speed.REFI
+	default:
+		c.srThreshold = 0 // disabled
 	}
-	*c = *fresh
 }

@@ -257,7 +257,7 @@ func TestReorderQueueMatchesReference(t *testing.T) {
 				cfg.Policy = pol
 				var recs [2]probe.Recorder
 				run, refCfg := cfg, cfg
-				run.Probe, run.SynthCoalescedEvents, refCfg.Probe = &recs[0], true, &recs[1]
+				run.Probe, refCfg.Probe = &recs[0], &recs[1]
 				q := NewReorderQueue(newCtl(t, run), depth)
 				ref := &referenceQueue{ctl: newCtl(t, refCfg), depth: depth}
 				name := fmt.Sprintf("%v depth %d seed %d", pol, depth, seed)

@@ -255,7 +255,6 @@ func TestCopyStateFieldEquivalence(t *testing.T) {
 			srcCfg.Channel = 2
 			dstCfg.Channel = 5
 			dstCfg.Probe = &probe.Recorder{}
-			dstCfg.SynthCoalescedEvents = true // keeps dst's exact flag equal to src's
 
 			// Dirty both sides, differently, and leave writes posted and
 			// runs pending in the window so no slice is empty.

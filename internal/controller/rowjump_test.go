@@ -16,8 +16,6 @@ import (
 func sameState(a, b *Controller) bool {
 	x, y := *a, *b
 	x.probe, y.probe, x.cfg.Probe, y.cfg.Probe = nil, nil, nil, nil
-	x.cfg.SynthCoalescedEvents, y.cfg.SynthCoalescedEvents = false, false
-	x.exact, y.exact = false, false
 	return reflect.DeepEqual(x, y)
 }
 
@@ -39,7 +37,6 @@ func checkRowPath(t *testing.T, name string, cfg Config, segs []rowSegment) *Con
 	var recs [2]probe.Recorder
 	run, ref := cfg, cfg
 	run.Probe, ref.Probe = &recs[0], &recs[1]
-	run.SynthCoalescedEvents = true
 	q, r := NewReorderQueue(newCtl(t, run), 0), NewReorderQueue(newCtl(t, ref), 0)
 	for i, sg := range segs {
 		got := q.AccessRow(sg.write, sg.loc, sg.n, sg.arrival)

@@ -14,8 +14,12 @@ import (
 // constraints; inspect the returned Set after the run (Err is non-nil on
 // any violation). The -check flag of every CLI tool goes through here.
 //
-// Attaching a checker makes the run observed, which disables the coalesced
-// dispatch fast path — results are bit-identical, simulation is slower.
+// The checked run takes the same coalesced dispatch as an unchecked one,
+// with the bursts of each row-run jump delivered as synthesized events, so
+// the checker verifies the schedule that computes the answers. Attaching
+// a checker makes the run observed, which turns channel classes off and
+// bypasses the result cache — results are bit-identical, simulation is
+// slower.
 func AttachChecker(mc *MemoryConfig) (*check.Set, error) {
 	// The checker must see the same geometry and timing the run will use,
 	// so the datasheet (Device) is applied before the fallbacks.

@@ -32,7 +32,9 @@ func TestSimulateContextPreCanceled(t *testing.T) {
 }
 
 // TestRunIndexedContextCancelStopsClaiming: after ctx fires, no new index
-// is claimed and ctx.Err() is returned — the "abort a sweep" fix.
+// is claimed and ctx.Err() is returned — the "abort a sweep" fix. Every
+// index but the fourth to start waits for the cancellation, so none can
+// finish before it and exactly one per worker starts.
 func TestRunIndexedContextCancelStopsClaiming(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var started atomic.Int64
@@ -40,17 +42,16 @@ func TestRunIndexedContextCancelStopsClaiming(t *testing.T) {
 	_, err := RunIndexedContext(ctx, 4, n, func(i int) (int, error) {
 		if started.Add(1) == 4 {
 			cancel()
+		} else {
+			<-ctx.Done()
 		}
 		return i, nil
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	// The four in-flight indices finish; a handful more may already have
-	// been claimed before every worker observed the cancellation, but the
-	// run must stop far short of the full grid.
-	if got := started.Load(); got >= n/2 {
-		t.Errorf("%d of %d indices ran after cancellation", got, n)
+	if got := started.Load(); got != 4 {
+		t.Errorf("%d of %d indices ran, want the 4 in flight at cancellation", got, n)
 	}
 }
 

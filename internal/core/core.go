@@ -334,22 +334,13 @@ func Simulate(w Workload, mc MemoryConfig) (Result, error) {
 // burning CPU at the next phase boundary. The background-context
 // spelling is exactly Simulate.
 func SimulateContext(ctx context.Context, w Workload, mc MemoryConfig) (Result, error) {
-	m := activeMeter.Load()
-	sp := activeSpans.Load()
-	if m == nil && sp == nil {
-		// Disabled observability: the seed's exact path.
-		if c := EnabledCache(); c != nil {
-			res, _, err := c.simulate(ctx, w, mc, nil)
-			return res, err
-		}
-		return simulateUncached(ctx, w, mc, nil)
-	}
 	// A lane is one worker track in the phase-span trace: with N pool
 	// workers at most N points are in flight, so lowest-free-lane
-	// acquisition renders as one track per worker.
-	lane := sp.Acquire()
+	// acquisition renders as one track per worker. Without span tracing
+	// the lane is nil and its calls are no-ops.
+	lane := activeSpans.Load().Acquire()
 	defer lane.Release()
-	if m != nil {
+	if m := activeMeter.Load(); m != nil {
 		m.pointsStarted.Inc()
 		start := time.Now()
 		defer func() {

@@ -78,6 +78,26 @@ func EnabledEnvelope() *analytic.Envelope {
 	return e
 }
 
+// envelopeTag returns env's Fingerprint, memoized for the envelope last
+// asked about: every auto point's cache key carries it, and hashing the
+// whole envelope per point dominated the cache-cold auto sweep. So an
+// envelope must not change once the auto tier has consulted it.
+func envelopeTag(env *analytic.Envelope) string {
+	if m := lastEnvelopeTag.Load(); m != nil && m.env == env {
+		return m.fp
+	}
+	m := &fingerprintedEnvelope{env: env, fp: env.Fingerprint()}
+	lastEnvelopeTag.Store(m)
+	return m.fp
+}
+
+type fingerprintedEnvelope struct {
+	env *analytic.Envelope
+	fp  string
+}
+
+var lastEnvelopeTag atomic.Pointer[fingerprintedEnvelope]
+
 // SimulateAuto answers one grid point at the requested fidelity tier.
 // Exact is Simulate. Fast is AnalyticResult (flagged Estimated, cached
 // under a tier-tagged key). Auto serves the analytic answer only when the
@@ -137,7 +157,7 @@ func tierEstimate(w Workload, mc MemoryConfig, tier Fidelity) (est Result, envTa
 		env := EnabledEnvelope()
 		if est, ok := autoEstimate(w, mc, env); ok {
 			countFidelity("auto_analytic")
-			return est, env.Fingerprint(), true, nil
+			return est, envelopeTag(env), true, nil
 		}
 		countFidelity("auto_exact")
 		return Result{}, "", false, nil

@@ -94,15 +94,14 @@ func TestDispatchEquivalence(t *testing.T) {
 		for _, withProbe := range []bool{false, true} {
 			device := devices[rng.Intn(len(devices))]
 			cfg := Config{
-				Channels:             []int{1, 2, 3, 4}[rng.Intn(4)],
-				Freq:                 device.Frequencies[rng.Intn(len(device.Frequencies))],
-				Geometry:             device.Geometry,
-				Timing:               device.Timing,
-				Policy:               x.policy,
-				PowerDown:            true,
-				RecordLatency:        true,
-				QueueDepth:           x.depth,
-				SynthCoalescedEvents: withProbe,
+				Channels:      []int{1, 2, 3, 4}[rng.Intn(4)],
+				Freq:          device.Frequencies[rng.Intn(len(device.Frequencies))],
+				Geometry:      device.Geometry,
+				Timing:        device.Timing,
+				Policy:        x.policy,
+				PowerDown:     true,
+				RecordLatency: true,
+				QueueDepth:    x.depth,
 			}
 			checkDispatchEquivalent(t, trials+i, cfg, nil, withProbe, randomRequests(rng, x.streams))
 		}
